@@ -25,6 +25,7 @@ import numpy as np
 from . import gf2
 from .circuit import Circuit, CircuitClass, Gate, GateKind, basic_clifford_gates, classify
 from .errors import CapacityError, ClassificationError
+from .statevector import MAX_QUBITS
 
 
 @dataclass
@@ -312,8 +313,8 @@ def amplitude(s: AffineForm, x) -> complex:
 
 def to_statevector(s: AffineForm) -> np.ndarray:
     """Dense 2^n statevector (qubit 0 is the most significant bit)."""
-    if s.n > 14:
-        raise CapacityError(f"statevector limited to 14 qubits, state has {s.n}")
+    if s.n > MAX_QUBITS:
+        raise CapacityError(f"statevector limited to {MAX_QUBITS} qubits, state has {s.n}")
     m = s.m
     # All parameter assignments as rows of a (2^m, m) bit matrix.
     us = ((np.arange(2 ** m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.uint8)

@@ -120,8 +120,8 @@ class Circuit:
             if len(self.prep) != self.n_qubits:
                 raise ValueError("prep must give one amplitude pair per qubit")
             for a, b in self.prep:
-                norm2 = abs(a) ** 2 + abs(b) ** 2
-                if abs(norm2 - 1.0) > PREP_NORM_TOL:
+                norm2 = abs(a) * abs(a) + abs(b) * abs(b)  # inf, not OverflowError
+                if not abs(norm2 - 1.0) <= PREP_NORM_TOL:  # also rejects nan
                     raise ValueError(
                         f"prep pair not normalized: |a|^2+|b|^2 = {norm2!r}")
         if len(set(self.measured)) != len(self.measured):
@@ -234,8 +234,8 @@ def parse(text: str) -> Circuit:
             except ValueError:
                 raise ParseError(ln, "prep amplitudes must be decimal floats")
             a, b = complex(vals[0], vals[1]), complex(vals[2], vals[3])
-            norm2 = abs(a) ** 2 + abs(b) ** 2
-            if abs(norm2 - 1.0) > PREP_NORM_TOL:
+            norm2 = abs(a) * abs(a) + abs(b) * abs(b)  # inf, not OverflowError
+            if not abs(norm2 - 1.0) <= PREP_NORM_TOL:  # also rejects nan
                 raise ParseError(ln, f"prep pair not normalized: {norm2!r}")
             prep_pairs[q] = (a, b)
         elif verb == "measure":

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -115,10 +114,6 @@ def cmd_sample(args, out, err) -> int:
     return 0
 
 
-def _format_fraction(fr: Fraction) -> str:
-    return str(fr)
-
-
 def cmd_prob(args, out, err) -> int:
     c = _with_measured(_load(args.circuit), args.qubits)
     tag = classify(c)
@@ -139,7 +134,7 @@ def cmd_prob(args, out, err) -> int:
         alpha = _parse_bits(args.outcome, len(c.measured))
         count = nearclifford.ht_strong_count(c, c.measured, alpha,
                                              width_limit=args.limit)
-        out.write(_format_fraction(count.as_fraction()) + "\n")
+        out.write(str(count.as_fraction()) + "\n")
         return 0
     print("strong simulation is unsupported for this circuit class: "
           "computing exact probabilities of classical+diagonal circuits "

@@ -17,3 +17,7 @@ class CapacityError(RuntimeError):
 
 class ClassificationError(ValueError):
     """A circuit does not belong to the class an operation requires."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a defect in the package, not the input."""

@@ -9,6 +9,13 @@ Clifford circuit C factors as M2 * H * M1 up to one global constant,
 where M1 and M2 are basis preserving and H is a single layer of
 Hadamards.  The lift conjugates the X generators through C and reads
 the required phase and routing layers off the resulting Pauli terms.
+
+Signed Pauli terms i^e * X(x) * Z(z) are conjugated through gates as a
+stack: the x and z parts of all rows are bit matrices and e is a
+vector of i-exponents, and each gate updates a few columns of every
+row at once (the tableau update of Aaronson and Gottesman,
+quant-ph/0406196).  ``_conjugate_rows`` holds the only copy of the
+per-gate rules.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 from . import gf2
 from .affine import AffineForm, LinForm, run_clifford
 from .circuit import Circuit, CircuitClass, Gate, GateKind, basic_clifford_gates, classify, gate
-from .errors import ClassificationError
+from .errors import ClassificationError, InvariantError
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +57,6 @@ class PauliTerm:
     def make(n: int, phase_exp: int, xpart, zpart) -> "PauliTerm":
         e = phase_exp % 4
         return PauliTerm(n, e // 2, e % 2, gf2.bits(xpart), gf2.bits(zpart))
-
-    @staticmethod
-    def identity(n: int) -> "PauliTerm":
-        return PauliTerm.make(n, 0, np.zeros(n, dtype=np.uint8),
-                              np.zeros(n, dtype=np.uint8))
 
     @staticmethod
     def x_gen(n: int, k: int) -> "PauliTerm":
@@ -99,99 +101,66 @@ class PauliTerm:
         return out
 
 
-_CONJUGATABLE = {GateKind.H, GateKind.P, GateKind.CNOT,
-                 GateKind.X, GateKind.Z, GateKind.CZ}
+def _conjugate_rows(x: np.ndarray, z: np.ndarray, e: np.ndarray, g: Gate) -> None:
+    """Map every row i^e * X(x) * Z(z) of a stack to g row g^dagger, in place.
 
-
-def _conj_x_factor(n: int, k: int, g: Gate) -> PauliTerm:
-    """g X_k g^dagger for a single generator factor."""
+    x and z are (k, n) uint8 bit matrices, e the (k,) uint8 i-exponents
+    mod 4.  Each rule updates a few columns of all k rows at once; the
+    sign terms come from reordering each image back to X-before-Z form.
+    """
     kind, qs = g.kind, g.qubits
-    if k not in qs:
-        return PauliTerm.x_gen(n, k)
+    a = qs[0]
     if kind is GateKind.H:
-        return PauliTerm.z_gen(n, k)
-    if kind is GateKind.P:
-        both = np.zeros(n, dtype=np.uint8)
-        both[k] = 1
-        return PauliTerm.make(n, 1, both, both)  # i X Z (= Y)
-    if kind is GateKind.X:
-        return PauliTerm.x_gen(n, k)
-    if kind is GateKind.Z:
-        return PauliTerm.make(n, 2, PauliTerm.x_gen(n, k).xpart,
-                              np.zeros(n, dtype=np.uint8))
-    if kind is GateKind.CNOT:
+        e += 2 * (x[:, a] & z[:, a])
+        x[:, [a]], z[:, [a]] = z[:, [a]], x[:, [a]]
+    elif kind is GateKind.P:
+        e += x[:, a]
+        z[:, a] ^= x[:, a]
+    elif kind is GateKind.X:
+        e += 2 * z[:, a]
+    elif kind is GateKind.Z:
+        e += 2 * x[:, a]
+    elif kind is GateKind.CNOT:
         c, t = qs
-        if k == c:
-            x = np.zeros(n, dtype=np.uint8)
-            x[c] = x[t] = 1
-            return PauliTerm.make(n, 0, x, np.zeros(n, dtype=np.uint8))
-        return PauliTerm.x_gen(n, k)
-    if kind is GateKind.CZ:
-        a, b = qs
-        other = b if k == a else a
-        term = PauliTerm.x_gen(n, k)
-        term.zpart[other] = 1
-        return term
-    raise ValueError(f"cannot conjugate through {kind.value}")
-
-
-def _conj_z_factor(n: int, k: int, g: Gate) -> PauliTerm:
-    """g Z_k g^dagger for a single generator factor."""
-    kind, qs = g.kind, g.qubits
-    if k not in qs:
-        return PauliTerm.z_gen(n, k)
-    if kind is GateKind.H:
-        return PauliTerm.x_gen(n, k)
-    if kind is GateKind.P:
-        return PauliTerm.z_gen(n, k)
-    if kind is GateKind.X:
-        return PauliTerm.make(n, 2, np.zeros(n, dtype=np.uint8),
-                              PauliTerm.z_gen(n, k).zpart)
-    if kind is GateKind.Z:
-        return PauliTerm.z_gen(n, k)
-    if kind is GateKind.CNOT:
-        c, t = qs
-        if k == t:
-            z = np.zeros(n, dtype=np.uint8)
-            z[c] = z[t] = 1
-            return PauliTerm.make(n, 0, np.zeros(n, dtype=np.uint8), z)
-        return PauliTerm.z_gen(n, k)
-    if kind is GateKind.CZ:
-        return PauliTerm.z_gen(n, k)
-    raise ValueError(f"cannot conjugate through {kind.value}")
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+    elif kind is GateKind.CZ:
+        b = qs[1]
+        e += 2 * (x[:, a] & x[:, b])
+        z[:, a] ^= x[:, b]
+        z[:, b] ^= x[:, a]
+    else:
+        raise ValueError(f"cannot conjugate through {kind.value}")
+    e %= 4
 
 
 def conjugate_pauli(p: PauliTerm, g: Gate) -> PauliTerm:
-    """g p g^dagger, exact sign included.
+    """g p g^dagger, exact sign included."""
+    x, z = p.xpart[None, :].copy(), p.zpart[None, :].copy()
+    e = np.array([p.phase_exp], dtype=np.uint8)
+    _conjugate_rows(x, z, e, g)
+    return PauliTerm.make(p.n, int(e[0]), x[0], z[0])
 
-    The term is factored as phase * prod X_k * prod Z_k; conjugation
-    maps each factor and the images are remultiplied in order.
-    """
-    if g.kind not in _CONJUGATABLE:
-        raise ValueError(f"cannot conjugate through {g.kind.value}")
-    n = p.n
-    out = PauliTerm.make(n, p.phase_exp, np.zeros(n, dtype=np.uint8),
-                         np.zeros(n, dtype=np.uint8))
-    for k in np.nonzero(p.xpart)[0]:
-        out = out * _conj_x_factor(n, int(k), g)
-    for k in np.nonzero(p.zpart)[0]:
-        out = out * _conj_z_factor(n, int(k), g)
-    return out
+
+def _generator_stack(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows sigma_i = C X_i C^dagger of a Clifford circuit, as (x, z, e)."""
+    n = c.n_qubits
+    x, z = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+    e = np.zeros(n, dtype=np.uint8)
+    for g in basic_clifford_gates(c.gates):
+        _conjugate_rows(x, z, e, g)
+    if ((e + (x & z).sum(axis=1)) % 2).any():
+        raise InvariantError("conjugate of X_i must square to +I")
+    return x, z, e
 
 
 def conjugated_generators(c: Circuit) -> list[PauliTerm]:
     """sigma_i = C X_i C^dagger for each qubit i, folded gate by gate."""
     if classify(c) is not CircuitClass.CLIFFORD_ONLY:
         raise ClassificationError("circuit is not Clifford-only")
-    gates = list(basic_clifford_gates(c.gates))
-    out = []
-    for i in range(c.n_qubits):
-        term = PauliTerm.x_gen(c.n_qubits, i)
-        for g in gates:
-            term = conjugate_pauli(term, g)
-        assert term.is_hermitian(), "conjugate of X_i must square to +I"
-        out.append(term)
-    return out
+    x, z, e = _generator_stack(c)
+    return [PauliTerm.make(c.n_qubits, int(e[i]), x[i], z[i])
+            for i in range(c.n_qubits)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +192,8 @@ def _complete_to_invertible(r: np.ndarray) -> np.ndarray:
     extra = [j for j in range(n) if j not in pivot_rows]
     cols = [r] + [np.eye(n, dtype=np.uint8)[:, [j]] for j in extra]
     e = np.concatenate(cols, axis=1)
-    assert e.shape == (n, n)
+    if e.shape != (n, n):
+        raise InvariantError("r must have full column rank")
     return e
 
 
@@ -240,7 +210,8 @@ def _diagonal_gates(lin_i: LinForm, quad: "np.ndarray", lin_z: np.ndarray) -> li
     exponents, so CZ corrections cancel the (-1) carries between pairs
     of P'd qubits: i^a i^b = (-1)^(ab) i^(a XOR b).
     """
-    assert lin_i.const == 0
+    if lin_i.const:
+        raise InvariantError("lin_i must have zero constant")
     d = lin_i.coeffs
     carries = np.triu(np.outer(d, d), 1)
     cz_pairs = quad ^ carries
@@ -325,27 +296,21 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
     nf = synthesize_state_prep(run_clifford(c))
     m2 = nf.linear_layer + nf.phase_layer
 
-    undo_m2 = _inverse_sequence(m2)
-    taus = []
-    for sigma in conjugated_generators(c):
-        term = sigma
-        for g in undo_m2:
-            term = conjugate_pauli(term, g)
-        for k in nf.hadamard_set:
-            term = conjugate_pauli(term, gate(GateKind.H, k))
-        taus.append(term)
+    x, z, e = _generator_stack(c)
+    for g in _inverse_sequence(m2):
+        _conjugate_rows(x, z, e, g)
+    for k in nf.hadamard_set:
+        _conjugate_rows(x, z, e, gate(GateKind.H, k))
 
-    rmat = np.stack([tau.xpart for tau in taus], axis=1)
-    tmat = np.stack([tau.zpart for tau in taus], axis=1)
-    assert gf2.rank(rmat) == n, "extracted ket map must be invertible"
+    rmat = x.T
+    if gf2.rank(rmat) != n:
+        raise InvariantError("extracted ket map must be invertible")
 
     m1: list[Gate] = []
-    m1 += [gate(GateKind.P, i) for i in range(n) if taus[i].v_sign]
-    m1 += [gate(GateKind.Z, i) for i in range(n) if taus[i].u_sign]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gf2.dot(tmat[:, i], rmat[:, j]):
-                m1.append(gate(GateKind.CZ, i, j))
+    m1 += [gate(GateKind.P, int(i)) for i in np.nonzero(e % 2)[0]]
+    m1 += [gate(GateKind.Z, int(i)) for i in np.nonzero(e // 2)[0]]
+    cz_pairs = np.triu(gf2.mat_mul(z, rmat), 1)  # (i, j): zpart_i . xpart_j
+    m1 += [gate(GateKind.CZ, int(i), int(j)) for i, j in zip(*np.nonzero(cz_pairs))]
     m1 += _cnot_synthesis(rmat)
 
     return OperatorNormalForm(tuple(m1), nf.hadamard_set, m2)

@@ -37,6 +37,8 @@ def test_parse_errors_carry_line_numbers():
         ("qubits 2\nh 0\nprep 1 1 0 0 0\n", 3, "precede"),
         ("qubits 2\nprep 0 1 0 0 0\nprep 0 1 0 0 0\n", 3, "duplicate"),
         ("qubits 2\nprep 0 1 0 1 0\n", 2, "normalized"),
+        ("qubits 1\nprep 0 nan 0 0 0\n", 2, "normalized"),
+        ("qubits 1\nprep 0 1e200 0 0 0\n", 2, "normalized"),
         ("qubits 2\nzrot 0 1 0\n", 2, "denominator"),
         ("qubits 2\nmeasure 0 0\n", 2, "duplicate"),
         ("qubits 0\n", 1, "positive"),
@@ -116,6 +118,12 @@ def test_gate_validation():
         gate(GateKind.ZROT, 0)  # missing angle
     with pytest.raises(ValueError):
         gate(GateKind.ZROT, 0, angle=(1, 0))
+
+
+def test_circuit_rejects_unnormalized_prep():
+    for pair in ((1, 1), (complex(float("nan")), 0), (1e200, 0)):
+        with pytest.raises(ValueError, match="normalized"):
+            Circuit(1, (), (pair,))
 
 
 def test_basic_clifford_gates_expansion():

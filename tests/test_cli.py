@@ -88,6 +88,12 @@ def test_sample_rejects_general_circuits(tmp_path):
     assert status == 1 and "route" in err
 
 
+def test_nan_prep_is_bad_input(tmp_path):
+    path = circuit_file(tmp_path, "nan.cq", "qubits 1\nprep 0 nan 0 0 0\n")
+    status, out, err = run(["sample", path])
+    assert status == 1 and out == "" and "line 2" in err
+
+
 def test_verify_clifford(tmp_path):
     path = circuit_file(tmp_path, "hph.cq", HPH)
     status, out, _ = run(["verify", path])

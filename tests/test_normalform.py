@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from affstab import (Circuit, GateKind, gate, init_zero, parse, run_clifford,
-                     synthesize_state_prep)
+from affstab import (Circuit, GateKind, amplitude, gate, gf2, init_zero, parse,
+                     run_clifford, synthesize_state_prep)
 from affstab.errors import ClassificationError
 from affstab.normalform import (PauliTerm, conjugate_pauli,
                                 conjugated_generators, decompose_operator)
@@ -179,3 +179,28 @@ def test_decompose_random_proportionality():
         assert all(g.kind is not GateKind.H for g in onf.m1 + onf.m2)
         assert len(set(onf.hadamard_set)) == len(onf.hadamard_set)
         assert proportional_as_operators(c, onf.to_circuit(n), 1e-9)
+
+
+def test_decompose_beyond_oracle_width():
+    # n=40 is past the dense oracle: compare C and M2*H*M1 on inputs
+    # through the affine simulator.  Each input is a basis state with H
+    # on a random half of the qubits, so that a wrong phase in M1 is a
+    # relative phase, not a global one the comparison cannot see.
+    rng = np.random.default_rng(26)
+    n = 40
+    c = random_clifford_circuit(rng, n, 400)
+    onf = decompose_operator(c).to_circuit(n)
+    for _ in range(3):
+        prefix = tuple(gate(GateKind.X, int(k))
+                       for k in np.nonzero(rng.integers(0, 2, n))[0])
+        prefix += tuple(gate(GateKind.H, int(k))
+                        for k in np.nonzero(rng.integers(0, 2, n))[0])
+        s1 = run_clifford(Circuit(n, prefix + c.gates))
+        s2 = run_clifford(Circuit(n, prefix + onf.gates))
+        # same affine support: equal dimension, spans and shifts agree
+        joint = np.concatenate([s1.R, s2.R, (s1.t ^ s2.t)[:, None]], axis=1)
+        assert s1.m == s2.m == gf2.rank(joint)
+        us = rng.integers(0, 2, (64, s1.m), dtype=np.uint8)
+        points = gf2.mat_mul(us, s1.R.T) ^ s1.t
+        ratios = [amplitude(s2, x) / amplitude(s1, x) for x in points]
+        assert np.allclose(ratios, ratios[0], atol=1e-12)
