@@ -14,17 +14,33 @@ CNOT never change m; Hadamard introduces a fresh parameter and, when
 the new column system becomes rank deficient, eliminates one parameter
 by summing it out (``sum_out_var``), which either imposes a linear
 constraint on the remaining parameters or leaves a pure phase update.
+
+Cost per gate, with a constant number of vectorised array operations
+each: X copies t, O(n); Z rewrites q's linear part, O(m); P and CZ add
+an outer product to q, O(m^2); CNOT adds one row of R and one column
+of the frame (below), copying R, O(n m), and the frame, O(n^2) bytes.
+A Hadamard costs O(n^2 + m^2) and runs no elimination: the frame, an
+invertible F with F R = [I_m; 0] kept in step with R by every update,
+tells from one column read whether the widened system loses rank and,
+if so, gives its kernel vector.  Updates return a new form that shares
+every array the gate leaves unchanged.
+
+Full column rank of R is checked where it costs nothing extra: each
+rank-deficient Hadamard checks R u = e_k in row k, a hand-built form
+gets its frame from an elimination that checks the rank, and
+``run_clifford`` checks gf2.rank(R) == m once at the end.  All checks
+raise ``errors.InvariantError``, so they hold under ``python -O``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gf2
 from .circuit import Circuit, CircuitClass, Gate, GateKind, basic_clifford_gates, classify
-from .errors import CapacityError, ClassificationError
+from .errors import CapacityError, ClassificationError, InvariantError
 from .statevector import MAX_QUBITS
 
 
@@ -106,23 +122,33 @@ def linform_product(a: LinForm, b: LinForm) -> QuadForm:
 
     Diagonal terms a_i b_i u_i^2 are folded into the linear part.
     """
-    outer = np.outer(a.coeffs, b.coeffs)
-    cross = np.triu(outer ^ outer.T, 1)
-    lin = (np.diagonal(outer).copy()
-           ^ (a.const * b.coeffs)
-           ^ (b.const * a.coeffs))
-    return QuadForm(cross, lin.astype(np.uint8), a.const & b.const)
+    x, y = a.coeffs, b.coeffs
+    outer = x[:, None] & y
+    idx = np.arange(x.shape[0])
+    cross = (outer ^ outer.T) & (idx[:, None] < idx)
+    lin = (x & y) ^ (a.const * y) ^ (b.const * x)
+    return QuadForm(cross, lin.astype(np.uint8, copy=False), a.const & b.const)
 
 
 @dataclass
 class AffineForm:
-    """The (R, t, l, q) representation of a stabilizer state."""
+    """The (R, t, l, q) representation of a stabilizer state.
+
+    ``frame`` is an optional invertible n x n matrix F with
+    F R = [I_m; 0]: its first m rows read the parameters off a ket
+    offset, u = F[:m] (x + t), and its other rows vanish exactly on the
+    column space of R.  The gate updates keep it in step with R, so no
+    update needs an elimination; when it is None (a hand-built form),
+    the next Hadamard computes it once.  It plays no part in the state
+    the form denotes.
+    """
 
     n: int
     R: np.ndarray  # (n, m) uint8, full column rank
     t: np.ndarray  # (n,) uint8
     l: LinForm     # over the m parameters
     q: QuadForm    # over the m parameters
+    frame: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -130,7 +156,8 @@ class AffineForm:
 
     def copy(self) -> "AffineForm":
         return AffineForm(self.n, self.R.copy(), self.t.copy(),
-                          self.l.copy(), self.q.copy())
+                          self.l.copy(), self.q.copy(),
+                          None if self.frame is None else self.frame.copy())
 
     def ket_row(self, k: int) -> LinForm:
         """Bit k of the ket, x_k(u) = R[k].u + t_k, as an affine function."""
@@ -150,7 +177,8 @@ def init_zero(n: int) -> AffineForm:
         raise ValueError("need at least one qubit")
     return AffineForm(n, np.zeros((n, 0), dtype=np.uint8),
                       np.zeros(n, dtype=np.uint8),
-                      LinForm.zero(0), QuadForm.zero(0))
+                      LinForm.zero(0), QuadForm.zero(0),
+                      np.eye(n, dtype=np.uint8))
 
 
 def support_size(s: AffineForm) -> int:
@@ -159,30 +187,56 @@ def support_size(s: AffineForm) -> int:
 
 
 def apply_phase_family(s: AffineForm, g: Gate) -> AffineForm:
-    """Apply one of P, X, Z, CZ, CNOT; the parameter count never changes."""
-    out = s.copy()
+    """Apply one of P, X, Z, CZ, CNOT; the parameter count never changes.
+
+    The result shares every array the gate leaves unchanged with ``s``.
+    """
+    R, t, l, q, frame = s.R, s.t, s.l, s.q, s.frame
     kind = g.kind
     if kind is GateKind.P:
         (k,) = g.qubits
-        xk = out.ket_row(k)
+        xk = s.ket_row(k)
         # i^l * i^xk = (-1)^(l*xk) * i^(l+xk)
-        out.q = out.q ^ linform_product(out.l, xk)
-        out.l = out.l ^ xk
+        q = q ^ linform_product(l, xk)
+        l = l ^ xk
     elif kind is GateKind.CNOT:
         c, d = g.qubits
-        out.R[d] ^= out.R[c]
-        out.t[d] ^= out.t[c]
+        R = R.copy()
+        R[d] ^= R[c]
+        t = t.copy()
+        t[d] ^= t[c]
+        if frame is not None:
+            # R -> E R with E = E^-1 adding row c to row d, so F -> F E.
+            frame = frame.copy()
+            frame[:, c] ^= frame[:, d]
     elif kind is GateKind.X:
         (k,) = g.qubits
-        out.t[k] ^= 1
+        t = t.copy()
+        t[k] ^= 1
     elif kind is GateKind.Z:
         (k,) = g.qubits
-        out.q = out.q ^ out.ket_row(k)
+        q = QuadForm(q.cross, q.lin ^ R[k], q.const ^ int(t[k]))
     elif kind is GateKind.CZ:
         a, b = g.qubits
-        out.q = out.q ^ linform_product(out.ket_row(a), out.ket_row(b))
+        q = q ^ linform_product(s.ket_row(a), s.ket_row(b))
     else:
         raise ValueError(f"not a phase-family gate: {kind.value}")
+    return AffineForm(s.n, R, t, l, q, frame)
+
+
+def _frame(s: AffineForm) -> np.ndarray:
+    if s.frame is not None:
+        return s.frame
+    try:
+        return gf2.row_reducer(s.R)
+    except ValueError:
+        raise InvariantError("R does not have full column rank") from None
+
+
+def _prepend(bit: int, v: np.ndarray) -> np.ndarray:
+    out = np.empty(v.shape[0] + 1, dtype=np.uint8)
+    out[0] = bit
+    out[1:] = v
     return out
 
 
@@ -190,48 +244,93 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
     """Apply a Hadamard on qubit k.
 
     A fresh parameter v becomes bit k of the ket and the phase picks up
-    (-1)^(v * x_k(u)).  If the widened column system is rank deficient,
-    a change of basis isolates one parameter outside the ket and that
-    parameter is summed out.
+    (-1)^(v * x_k(u)): the widened ket map is [e_k | R with row k
+    cleared].  It is rank deficient exactly when e_k = R u for some u,
+    and then its kernel is spanned by z = (0, u).  The frame answers
+    both questions in one column read: e_k is outside col(R) iff
+    F[m:, k] is nonzero, and otherwise u = F[:m, k].  In the deficient
+    case the change of basis u = Q u' (Q = I with column p, the first
+    nonzero of z, replaced by z) clears column p of the ket map, and
+    that parameter is summed out (``sum_out_var``).  The whole update
+    is O(n^2 + m^2), with no elimination.
     """
     n, m = s.n, s.m
-    r = s.R[k].copy()
-    tk = int(s.t[k])
+    frame = _frame(s)
+    col = frame[:, k]
+    r = s.R[k]
+    if col[m:].any():
+        R, t, l, q = _widen(s, k, slice(None))
+        return AffineForm(n, R, t, l, q, _grown_frame(frame, col, r, m))
 
-    R = np.zeros((n, m + 1), dtype=np.uint8)
-    R[:, 1:] = s.R
-    R[k, :] = 0
+    u = col[:m]
+    if gf2.dot(r, u) != 1:
+        raise InvariantError("frame out of step with R: R u != e_k")
+    # Index the fresh parameter 0 and old parameter i as i + 1; then
+    # p = dead + 1.  After the change of basis the dead parameter w
+    # enters as i^(lam w) (-1)^(w g) with, writing B = cross + cross^T,
+    #   lam = l.u,   g = v + (B u).u' + q(u) - q(0)   (u' the others),
+    # and everything else restricted to the live parameters.
+    dead = int(np.argmax(u))
+    keep = np.arange(m) != dead
+    # uint8 products wrap mod 256, which keeps their parity.
+    xu = s.q.cross @ u
+    bu = (xu + u @ s.q.cross) & 1
+    g = LinForm(_prepend(1, bu[keep]),
+                (int(u @ xu) + int(s.q.lin @ u)) & 1)
+    R, t, lt, h = _widen(s, k, keep)
+    out = _sum_out(n, R, t, gf2.dot(s.l.coeffs, u), lt, g, h)
+
+    # The widened column space is col(R) again.  Coordinates in the
+    # new basis [e_k | R_{-k} minus the dead column]: w_i = y_i + y_dead u_i
+    # and v = y_dead + r.w (y the old coordinates).
+    lw = frame[:m][keep] ^ np.outer(u[keep], frame[dead])
+    lv = frame[dead] ^ gf2.mat_mul(r[keep], lw)
+    if out.m == m:
+        out.frame = np.concatenate((lv[None, :], lw, frame[m:]))
+    else:
+        # The constraint g = 0 eliminated v = g(u'): its row becomes a
+        # parity check of the smaller column space.
+        check = lv ^ gf2.mat_mul(g.coeffs[1:], lw)
+        out.frame = np.concatenate((lw, check[None, :], frame[m:]))
+    return out
+
+
+def _widen(s: AffineForm, k: int, keep) -> tuple[np.ndarray, np.ndarray,
+                                                  LinForm, QuadForm]:
+    """Hadamard on k before any elimination, over the fresh parameter
+    and the old parameters ``keep`` selects: ket map [e_k | R_{-k}]
+    (R with row k cleared), x_k's shift cleared, l unchanged and
+    q + v * x_k(u)."""
+    cols = s.R[:, keep]
+    R = np.zeros((s.n, cols.shape[1] + 1), dtype=np.uint8)
+    R[:, 1:] = cols
+    R[k] = 0
     R[k, 0] = 1
     t = s.t.copy()
     t[k] = 0
+    cross = np.zeros((R.shape[1], R.shape[1]), dtype=np.uint8)
+    cross[1:, 1:] = s.q.cross[keep][:, keep]
+    cross[0, 1:] = s.R[k, keep]
+    return (R, t, LinForm(_prepend(0, s.l.coeffs[keep]), s.l.const),
+            QuadForm(cross, _prepend(int(s.t[k]), s.q.lin[keep]), s.q.const))
 
-    l = LinForm(np.concatenate([[0], s.l.coeffs]).astype(np.uint8), s.l.const)
-    cross = np.zeros((m + 1, m + 1), dtype=np.uint8)
-    cross[1:, 1:] = s.q.cross
-    cross[0, 1:] = r
-    lin = np.concatenate([[tk], s.q.lin]).astype(np.uint8)
-    q = QuadForm(cross, lin, s.q.const)
 
-    widened = AffineForm(n, R, t, l, q)
-    if gf2.rank(R) == m + 1:
-        return widened
+def _grown_frame(frame: np.ndarray, col: np.ndarray, r: np.ndarray,
+                 m: int) -> np.ndarray:
+    """The frame for [e_k | R_{-k}] when e_k is outside col(R).
 
-    kernel = gf2.kernel_basis(R)
-    assert kernel.shape[0] == 1, "widened system can lose at most one rank"
-    z = kernel[0]
-    assert z[0] == 0, "the fresh parameter is always independent"
-    pivot = int(np.nonzero(z)[0][0])
-
-    # Change of basis u = Q u' zeroing column `pivot` of R (Q = I with
-    # column pivot replaced by the kernel vector; unit diagonal, so
-    # invertible).
-    qmat = np.eye(m + 1, dtype=np.uint8)
-    qmat[:, pivot] = z
-    widened.R = gf2.mat_mul(R, qmat)
-    shift = np.zeros(m + 1, dtype=np.uint8)
-    widened.l = l.compose(qmat, shift)
-    widened.q = q.compose(qmat, shift)
-    return sum_out_var(widened, pivot)
+    F [e_k | R] = [col | I_m; 0].  Clearing col with a parity row j
+    (col_j = 1, j >= m) and moving row j to the top gives a frame for
+    [e_k | R]; [e_k | R_{-k}] = [e_k | R] T with T = [[1, r], [0, I]]
+    = T^-1, so the top row then picks up r times the next m rows.
+    """
+    j = m + int(np.argmax(col[m:]))
+    hit = col.copy()
+    hit[j] = 0
+    cleared = frame ^ np.outer(hit, frame[j])
+    out = np.concatenate((cleared[j:j + 1], cleared[:j], cleared[j + 1:]))
+    out[0] ^= gf2.mat_mul(r, out[1:m + 1])
+    return out
 
 
 def sum_out_var(s: AffineForm, dead: int) -> AffineForm:
@@ -247,54 +346,74 @@ def sum_out_var(s: AffineForm, dead: int) -> AffineForm:
                 state, which unitary evolution forbids).
       lam = 1:  1 + i(-1)^a = (1+i)(-i)^a gives, after dropping the
                 global (1+i):  l' = g,  q' = h + g*(1 + lt).
-    """
-    assert not s.R[:, dead].any(), "dead parameter still appears in the ket"
-    n = s.n
-    live = np.arange(s.m) != dead
 
-    lam = int(s.l.coeffs[dead])
-    lt = LinForm(s.l.coeffs[live].copy(), s.l.const)
+    Raises:
+        InvariantError: if the ket still depends on ``dead``, or the
+        constraint is 1 = 0.
+    """
+    if s.R[:, dead].any():
+        raise InvariantError("dead parameter still appears in the ket")
+    live = np.arange(s.m) != dead
+    lt = LinForm(s.l.coeffs[live], s.l.const)
     g = LinForm((s.q.cross[dead, :] ^ s.q.cross[:, dead])[live],
                 int(s.q.lin[dead]))
-    h = QuadForm(s.q.cross[np.ix_(live, live)].copy(),
-                 s.q.lin[live].copy(), s.q.const)
-    R = s.R[:, live].copy()
-    t = s.t.copy()
+    h = QuadForm(s.q.cross[live][:, live], s.q.lin[live], s.q.const)
+    return _sum_out(s.n, s.R[:, live], s.t, int(s.l.coeffs[dead]), lt, g, h)
 
+
+def _sum_out(n: int, R: np.ndarray, t: np.ndarray, lam: int, lt: LinForm,
+             g: LinForm, h: QuadForm) -> AffineForm:
+    """The case table of ``sum_out_var``, given its pieces."""
     if lam == 1:
         one_plus_lt = LinForm(lt.coeffs, lt.const ^ 1)
         return AffineForm(n, R, t, g, h ^ linform_product(g, one_plus_lt))
-
     if not g.coeffs.any():
-        assert g.const == 0, "constraint 1 = 0 would annihilate the state"
+        if g.const:
+            raise InvariantError("constraint 1 = 0 would annihilate the state")
         return AffineForm(n, R, t, lt, h)
+    # g = 0 fixes u_f = a(others), f the first parameter g depends on.
+    f = int(np.argmax(g.coeffs))
+    rest = np.arange(g.coeffs.shape[0]) != f
+    a = LinForm(g.coeffs[rest], g.const)
+    col = R[:, f]
+    lf = int(lt.coeffs[f])
+    # q = h_rest + u_f * (B[f].u + lin_f), B = cross + cross^T.
+    h_f = LinForm((h.cross[f] ^ h.cross[:, f])[rest], int(h.lin[f]))
+    h_rest = QuadForm(h.cross[rest][:, rest], h.lin[rest], h.const)
+    return AffineForm(n, R[:, rest] ^ np.outer(col, a.coeffs),
+                      t ^ (col * a.const),
+                      LinForm(lt.coeffs[rest] ^ (lf * a.coeffs),
+                              lt.const ^ (lf & a.const)),
+                      h_rest ^ linform_product(a, h_f))
 
-    sol = gf2.solve_affine(g.coeffs.reshape(1, -1), np.array([g.const]))
-    assert sol.consistent
-    basis = sol.kernel_basis.T  # (m_live, m_live - 1)
-    shift = sol.particular
-    return AffineForm(n, gf2.mat_mul(R, basis), t ^ gf2.mat_mul(R, shift),
-                      lt.compose(basis, shift), h.compose(basis, shift))
+
+_EXPANDED = (GateKind.PDG, GateKind.SWAP)
 
 
 def apply_gate(s: AffineForm, g: Gate) -> AffineForm:
     """Apply any Clifford gate (PDG and SWAP are expanded first)."""
-    for basic in basic_clifford_gates([g]):
+    for basic in basic_clifford_gates([g]) if g.kind in _EXPANDED else (g,):
         if basic.kind is GateKind.H:
             s = apply_h(s, basic.qubits[0])
         else:
             s = apply_phase_family(s, basic)
-        assert gf2.rank(s.R) == s.m, "update broke full column rank"
     return s
 
 
 def run_clifford(c: Circuit) -> AffineForm:
-    """Fold the gate updates over |0...0> for a Clifford-only circuit."""
+    """Fold the gate updates over |0...0> for a Clifford-only circuit.
+
+    Raises:
+        ClassificationError: if the circuit is not Clifford-only.
+        InvariantError: if the final R lost full column rank.
+    """
     if classify(c) is not CircuitClass.CLIFFORD_ONLY:
         raise ClassificationError("circuit is not Clifford-only")
     s = init_zero(c.n_qubits)
     for g in c.gates:
         s = apply_gate(s, g)
+    if gf2.rank(s.R) != s.m:
+        raise InvariantError("update broke full column rank")
     return s
 
 

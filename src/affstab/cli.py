@@ -7,8 +7,8 @@
     affstab verify     FILE [--seed S]
 
 Exit codes: 0 success, 1 bad input or unsupported request, 2 capacity
-exceeded, 3 verification mismatch.  Identical argv (including --seed)
-produce byte-identical output.
+exceeded, 3 verification mismatch or a failed internal invariant.
+Identical argv (including --seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from . import affine, measure, nearclifford, normalform, statevector
 from .circuit import Circuit, CircuitClass, GateKind, classify, gate, parse
-from .errors import CapacityError, ClassificationError, ParseError
+from .errors import (CapacityError, ClassificationError, InvariantError,
+                     ParseError)
 
 ENUMERATE_CAP = 4096
 
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, qubits=True)
     p.add_argument("--outcome", default=None, help="outcome bits, e.g. 01")
     p.add_argument("--limit", type=int, default=nearclifford.DEFAULT_WIDTH_LIMIT,
-                   help="HT brute-force width cap")
+                   help="HT brute-force width cap (at most the default)")
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("verify", help="cross-check fast route against oracle")
@@ -275,6 +276,9 @@ def run_command(argv, out=None, err=None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=err)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=err)
+        return 3
 
 
 def main() -> None:

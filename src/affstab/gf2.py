@@ -56,10 +56,9 @@ def row_echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if pivot != row:
             r[[row, pivot]] = r[[pivot, row]]
         # Eliminate everywhere else in this column (full reduction).
-        others = np.nonzero(r[:, col])[0]
-        for other in others:
-            if other != row:
-                r[other] ^= r[row]
+        others = r[:, col].astype(bool)
+        others[row] = False
+        r[others] ^= r[row]
         pivot_cols.append(col)
         row += 1
     return r, pivot_cols
@@ -87,27 +86,34 @@ class AffineSolveResult:
     kernel_basis: np.ndarray  # shape (dim_null, cols)
 
 
+def _kernel_from_rref(rref: np.ndarray, pivots: list[int],
+                      n_cols: int) -> np.ndarray:
+    """Null-space basis of a matrix whose first n_cols columns reduce to
+    ``rref`` with column pivots ``pivots``; one row per free column."""
+    free = np.ones(n_cols, dtype=bool)
+    free[pivots] = False
+    free_cols = np.flatnonzero(free)
+    basis = np.zeros((free_cols.size, n_cols), dtype=np.uint8)
+    basis[np.arange(free_cols.size), free_cols] = 1
+    basis[:, pivots] = rref[:len(pivots), free_cols].T
+    return basis
+
+
 def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Basis of the null space {v : Mv = 0}, as rows of a (k, cols) array.
 
     Returns an empty (0, cols) array iff M has full column rank.
     """
     m = bits(m)
-    n_cols = m.shape[1]
-    if m.shape[0] == 0:
-        return np.eye(n_cols, dtype=np.uint8)
     rref, pivots = row_echelon(m)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((len(free), n_cols), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = rref[row, fc]
-    return basis
+    return _kernel_from_rref(rref, pivots, m.shape[1])
 
 
 def solve_affine(m: np.ndarray, b: np.ndarray) -> AffineSolveResult:
     """Solve M x = b over GF(2).
+
+    One elimination of [M | b] gives the particular solution, the
+    kernel and so the rank (cols - dim kernel).
 
     Args:
         m: Binary matrix (rows x cols).
@@ -126,12 +132,34 @@ def solve_affine(m: np.ndarray, b: np.ndarray) -> AffineSolveResult:
         raise ValueError(f"right-hand side has length {b.shape}, expected {n_rows}")
     aug = np.concatenate([m, b.reshape(-1, 1)], axis=1)
     rref, pivots = row_echelon(aug)
-    if n_cols in pivots:
-        return AffineSolveResult(False, None, kernel_basis(m))
+    # Reducing [M | b] reduces M the same way; a pivot in the b column
+    # (always the last pivot) is the row 0 = 1.
+    if pivots and pivots[-1] == n_cols:
+        return AffineSolveResult(False, None,
+                                 _kernel_from_rref(rref, pivots[:-1], n_cols))
+    kernel = _kernel_from_rref(rref, pivots, n_cols)
     particular = np.zeros(n_cols, dtype=np.uint8)
-    for row, pc in enumerate(pivots):
-        particular[pc] = rref[row, n_cols]
-    return AffineSolveResult(True, particular, kernel_basis(m))
+    particular[pivots] = rref[:len(pivots), n_cols]
+    return AffineSolveResult(True, particular, kernel)
+
+
+def row_reducer(m: np.ndarray) -> np.ndarray:
+    """An invertible E with E m = [I; 0] over GF(2).
+
+    E is the product of the row operations that reduce m; its first
+    cols rows are a left inverse of m, the rest vanish exactly on the
+    column space of m.  Requires full column rank.
+
+    Raises:
+        ValueError: if m is column-rank deficient.
+    """
+    m = bits(m)
+    n_rows, n_cols = m.shape
+    aug = np.concatenate([m, np.eye(n_rows, dtype=np.uint8)], axis=1)
+    rref, pivots = row_echelon(aug)
+    if pivots[:n_cols] != list(range(n_cols)):
+        raise ValueError("matrix is column-rank deficient; no left inverse")
+    return np.ascontiguousarray(rref[:, n_cols:])
 
 
 def left_inverse(m: np.ndarray) -> np.ndarray:
@@ -144,16 +172,7 @@ def left_inverse(m: np.ndarray) -> np.ndarray:
         ValueError: if m is column-rank deficient.
     """
     m = bits(m)
-    n_rows, n_cols = m.shape
-    if n_cols == 0:
-        return np.zeros((0, n_rows), dtype=np.uint8)
-    aug = np.concatenate([m, np.eye(n_rows, dtype=np.uint8)], axis=1)
-    rref, pivots = row_echelon(aug)
-    col_pivots = [p for p in pivots if p < n_cols]
-    if len(col_pivots) != n_cols:
-        raise ValueError("matrix is column-rank deficient; no left inverse")
-    # Row reduction gives E with E m = [I; 0]; its first cols rows are L.
-    return rref[:n_cols, n_cols:].copy()
+    return row_reducer(m)[:m.shape[1]].copy()
 
 
 def decompose_invertible(e: np.ndarray) -> list[tuple[int, int]]:

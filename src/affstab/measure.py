@@ -80,7 +80,7 @@ def strong_prob(s: AffineForm, subset, alpha) -> DyadicProb:
     sol = gf2.solve_affine(r_s, alpha ^ t_s)
     if not sol.consistent:
         return DyadicProb.impossible()
-    return DyadicProb.power(gf2.rank(r_s))
+    return DyadicProb.power(r_s.shape[1] - sol.kernel_basis.shape[0])
 
 
 def weak_sample_many(s: AffineForm, subset, shots: int,

@@ -32,6 +32,8 @@ from .errors import CapacityError, ClassificationError
 from .measure import Outcome
 from .statevector import normalized_prep
 
+# The widest Hadamard layer ht_strong_count enumerates: the default and
+# the hard maximum of ``width_limit`` (each qubit's mask has 2^m bits).
 DEFAULT_WIDTH_LIMIT = 24
 
 # A front end draws (shots, n) bit matrices with its state's
@@ -217,23 +219,25 @@ def ht_strong_count(c: Circuit, subset, alpha,
     big integer bit mask, so a gate is one or two word-level ops.
 
     Raises:
-        CapacityError: if m exceeds ``width_limit``; exact
-        probabilities for wide Hadamard layers are #P-hard, so the
-        wall is enforced rather than crossed.
+        CapacityError: if ``width_limit`` exceeds DEFAULT_WIDTH_LIMIT
+        (it may only lower the cap), or m exceeds ``width_limit``;
+        exact probabilities for wide Hadamard layers are #P-hard, so
+        the wall is enforced rather than crossed.
     """
+    if width_limit > DEFAULT_WIDTH_LIMIT:
+        raise CapacityError(
+            f"width limit {width_limit} is above the maximum "
+            f"{DEFAULT_WIDTH_LIMIT}")
     positions, f = _split_ht(c)
     m = len(positions)
     if m > width_limit:
         raise CapacityError(
             f"strong HT simulation needs 2^{m} enumerations; "
             f"limit is 2^{width_limit}")
-    size = 1 << m
-    full = (1 << size) - 1
-    # masks[j] holds the broadcast pattern of assignment-bit j.
+    full = (1 << (1 << m)) - 1
     values = [0] * c.n_qubits
     for j, q in enumerate(positions):
-        block = 1 << (1 << j)
-        values[q] = (full // (block + 1)) << (1 << j)
+        values[q] = _assignment_mask(m, j)
     for g in f.gates:
         if g.kind is GateKind.X:
             values[g.qubits[0]] ^= full
@@ -251,6 +255,24 @@ def ht_strong_count(c: Circuit, subset, alpha,
     for q, bit in zip(subset, alpha):
         match &= values[q] if bit else values[q] ^ full
     return CountResult(match.bit_count(), m)
+
+
+def _assignment_mask(m: int, j: int) -> int:
+    """Bit i of the result is bit j of i, for i < 2^m.
+
+    The mask repeats with period 2^(j+1) bits, so it is built from one
+    repeated byte pattern in linear time (a big-integer division, the
+    closed form, is super-linear).
+    """
+    if j < 3:
+        pattern = bytes([(0xAA, 0xCC, 0xF0)[j]])
+    else:
+        half = 1 << (j - 3)
+        pattern = bytes(half) + b"\xff" * half
+    size = 1 << m
+    if size < 8:
+        return pattern[0] & ((1 << size) - 1)
+    return int.from_bytes(pattern * (size // 8 // len(pattern)), "little")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .errors import CapacityError
+from .errors import CapacityError, InvariantError
 
 MAX_QUBITS = 14
 MAX_OPERATOR_QUBITS = 10
@@ -97,7 +97,8 @@ def run_statevector(c: Circuit) -> np.ndarray:
     for g in c.gates:
         _apply_gate_tensor(state, g)
     vec = state.reshape(-1)
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-9, "norm drifted"
+    if not abs(np.linalg.norm(vec) - 1.0) < 1e-9:
+        raise InvariantError("norm drifted")
     return vec
 
 

@@ -93,3 +93,19 @@ def all_subsets(n: int, max_size: int):
     from itertools import combinations
     for size in range(1, max_size + 1):
         yield from combinations(range(n), size)
+
+
+def histogram(rows) -> dict[str, int]:
+    """Counts of the distinct rows of a (shots, k) bit matrix.
+
+    Keys are the rows as bit strings, e.g. "011"; each row is packed
+    into one integer so that a single ``np.unique`` does the counting.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    k = rows.shape[1]
+    if k > 62:
+        raise ValueError(f"rows of {k} bits do not pack into one int64")
+    packed = rows @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    values, counts = np.unique(packed, return_counts=True)
+    return {format(int(v), "b").zfill(k) if k else "": int(n)
+            for v, n in zip(values, counts)}

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from affstab import (AffineForm, GateKind, amplitude, apply_gate, apply_h,
                      sum_out_var, support_size, to_statevector)
 from affstab import gf2
 from affstab.affine import LinForm, QuadForm, linform_product
-from affstab.errors import ClassificationError
+from affstab.errors import ClassificationError, InvariantError
 from affstab.statevector import equal_up_to_phase, run_statevector
 from helpers import random_clifford_circuit
 
@@ -147,7 +151,7 @@ def test_sum_out_var_hh_constraint():
 
 def test_sum_out_var_requires_dead_column():
     s = apply_h(init_zero(1), 0)  # R = [[1]]
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         sum_out_var(s, 0)
 
 
@@ -157,7 +161,7 @@ def test_sum_out_var_annihilation_asserts():
                     np.array([0, 1], dtype=np.uint8), 0)
     r = np.array([[1, 0]], dtype=np.uint8)
     s = AffineForm(1, r, np.zeros(1, dtype=np.uint8), lin, quad)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         sum_out_var(s, 1)
 
 
@@ -167,7 +171,7 @@ def test_sum_out_var_random_brute_force():
     while done < 300:
         s, dead = _elimination_instance(rng, int(rng.integers(0, 6)))
         if _annihilates(s, dead):
-            with pytest.raises(AssertionError):
+            with pytest.raises(InvariantError):
                 sum_out_var(s, dead)
             continue
         ref = _elimination_reference(s, dead)
@@ -252,3 +256,31 @@ def test_nonzero_amplitudes_have_uniform_modulus_and_quarter_phases():
         units = np.array([1, 1j, -1, -1j])
         for r in rel:
             assert np.min(np.abs(units - r)) < 1e-12
+
+
+def test_sum_out_var_raises_under_optimize():
+    # The invariant is a typed error, not an assert: it holds under -O.
+    code = ("from affstab import apply_h, init_zero, sum_out_var\n"
+            "from affstab.errors import InvariantError\n"
+            "s = apply_h(init_zero(1), 0)\n"
+            "try:\n"
+            "    sum_out_var(s, 0)\n"
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_apply_h_rejects_rank_deficient_form():
+    # A hand-built form without a frame gets one from R, which must
+    # have full column rank.
+    r = np.array([[1, 1], [0, 0]], dtype=np.uint8)
+    s = AffineForm(2, r, np.zeros(2, dtype=np.uint8), LinForm.zero(2),
+                   QuadForm.zero(2))
+    with pytest.raises(InvariantError):
+        apply_h(s, 0)
+

@@ -189,3 +189,23 @@ def test_normalize_random_circuits_round_trip(tmp_path):
         assert status == 0, err
         status, out, err = run(["decompose", path, "--check"])
         assert status == 0, err
+
+
+def test_prob_limit_above_maximum_is_capacity(tmp_path):
+    path = circuit_file(tmp_path, "ht.cq", HT)
+    status, out, err = run(["prob", path, "--outcome", "1", "--limit", "26"])
+    assert status == 2 and out == "" and "capacity" in err
+
+
+def test_invariant_error_is_exit_3_without_traceback(tmp_path, monkeypatch):
+    from affstab import affine
+    from affstab.errors import InvariantError
+
+    def broken(c):
+        raise InvariantError("update broke full column rank")
+
+    monkeypatch.setattr(affine, "run_clifford", broken)
+    path = circuit_file(tmp_path, "ghz2.cq", GHZ)
+    status, out, err = run(["sample", path, "--shots", "4"])
+    assert status == 3 and out == ""
+    assert err == "internal error: update broke full column rank\n"

@@ -109,6 +109,24 @@ def test_left_inverse_random():
         assert np.array_equal(gf2.mat_mul(left, m), np.eye(cols, dtype=np.uint8))
 
 
+def test_row_reducer_random():
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        cols = int(rng.integers(0, 9))
+        rows = max(cols, 1) + int(rng.integers(0, 5))
+        while True:
+            m = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            if gf2.rank(m) == cols:
+                break
+        e = gf2.row_reducer(m)
+        assert gf2.rank(e) == rows
+        want = np.zeros((rows, cols), dtype=np.uint8)
+        want[:cols] = np.eye(cols, dtype=np.uint8)
+        assert np.array_equal(gf2.mat_mul(e, m), want)
+    with pytest.raises(ValueError):
+        gf2.row_reducer([[1, 1], [0, 0], [1, 1]])
+
+
 def test_decompose_invertible_examples():
     assert gf2.decompose_invertible(np.eye(4, dtype=np.uint8)) == []
     ops = gf2.decompose_invertible([[1, 1], [0, 1]])

@@ -93,6 +93,10 @@ def test_ht_strong_count_rejects_wide_layers():
     with pytest.raises(CapacityError):
         ht_strong_count(parse("qubits 2\nh 0\nh 1\ncnot 0 1"), [0], [0],
                         width_limit=1)
+    # the default is also the maximum: a limit can only lower it
+    with pytest.raises(CapacityError):
+        ht_strong_count(parse("qubits 2\nh 0\ncnot 0 1"), [1], [1],
+                        width_limit=25)
 
 
 def test_ht_strong_count_rejects_non_ht():
@@ -270,3 +274,26 @@ def test_eval_classical_batch_matches_scalar():
     batch = eval_classical_batch(f, xs)
     for row_in, row_out in zip(xs, batch):
         assert eval_classical(f, row_in).tolist() == row_out.tolist()
+
+
+def test_assignment_masks_match_division_formula():
+    from affstab.nearclifford import _assignment_mask
+    for m in range(13):
+        full = (1 << (1 << m)) - 1
+        for j in range(m):
+            block = 1 << (1 << j)
+            assert _assignment_mask(m, j) == (full // (block + 1)) << (1 << j)
+
+
+def test_ht_strong_count_at_default_width_is_fast():
+    # 24 Hadamards: each mask has 2^24 bits.  x0 x1 x2 lands on qubit 25.
+    import time
+    gates = [gate(GateKind.H, k) for k in range(24)]
+    gates += [gate(GateKind.CNOT, k, k + 1) for k in range(3, 23)]
+    gates += [gate(GateKind.TOFFOLI, 0, 1, 24), gate(GateKind.TOFFOLI, 2, 24, 25)]
+    c = Circuit(26, tuple(gates), None, (25,))
+    start = time.perf_counter()
+    res = ht_strong_count(c, [25], [1])
+    assert time.perf_counter() - start < 10
+    assert res.m == 24 and res.as_fraction() == Fraction(1, 8)
+
