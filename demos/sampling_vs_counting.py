@@ -11,7 +11,8 @@ dyadics.
 import numpy as np
 
 from affstab import (enumerate_support, parse, run_clifford, strong_prob,
-                     weak_sample, weak_sample_many)
+                     weak_sample_many)
+from affstab.measure import format_rows
 
 state = run_clifford(parse("qubits 4\nh 0\ncnot 0 1\ncnot 1 2\nh 3\ncz 3 0"))
 
@@ -28,9 +29,9 @@ for alpha in ([0, 0, 0, 0], [1, 1, 1, 0], [1, 0, 1, 0]):
 print()
 
 print("Sampling the same state (seeded, reproducible):")
-rng = np.random.default_rng(7)
-for _ in range(6):
-    print("   ", weak_sample(state, [0, 1, 2, 3], rng))
+rows = weak_sample_many(state, [0, 1, 2, 3], 6, np.random.default_rng(7))
+for line in format_rows(rows).splitlines():
+    print("   ", line)
 print()
 
 print("Frequencies vs exact probabilities, 100000 shots:")

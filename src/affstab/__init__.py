@@ -17,10 +17,8 @@ from .circuit import (Circuit, CircuitClass, Gate, GateKind, classify, emit,
                       gate, parse)
 from .errors import CapacityError, ClassificationError, ParseError
 from .measure import (DyadicProb, Outcome, enumerate_support, strong_prob,
-                      weak_sample, weak_sample_many)
-from .nearclifford import (ClassicalFunction, CountResult, eval_classical,
-                           ht_strong_count, ht_weak_sample,
-                           product_front_sample)
+                      weak_sample_many)
+from .nearclifford import ClassicalFunction, CountResult, ht_strong_count
 from .normalform import (NormalFormState, OperatorNormalForm, PauliTerm,
                          conjugate_pauli, conjugated_generators,
                          decompose_operator, synthesize_state_prep)
@@ -35,9 +33,8 @@ __all__ = [
     "parse",
     "CapacityError", "ClassificationError", "ParseError",
     "DyadicProb", "Outcome", "enumerate_support", "strong_prob",
-    "weak_sample", "weak_sample_many",
-    "ClassicalFunction", "CountResult", "eval_classical", "ht_strong_count",
-    "ht_weak_sample", "product_front_sample",
+    "weak_sample_many",
+    "ClassicalFunction", "CountResult", "ht_strong_count",
     "NormalFormState", "OperatorNormalForm", "PauliTerm", "conjugate_pauli",
     "conjugated_generators", "decompose_operator", "synthesize_state_prep",
     "distribution", "equal_up_to_phase", "proportional_as_operators",

@@ -4,7 +4,7 @@
     affstab decompose  FILE [--check]
     affstab sample     FILE [--shots K] [--seed S] [--qubits q...]
     affstab prob       FILE [--qubits q...] [--outcome BITS] [--limit W]
-    affstab verify     FILE [--seed S]
+    affstab verify     FILE [--limit W]
 
 Exit codes: 0 success, 1 bad input or unsupported request, 2 capacity
 exceeded, 3 verification mismatch or a failed internal invariant.
@@ -157,9 +157,11 @@ def cmd_verify(args, out, err) -> int:
         ok = statevector.equal_up_to_phase(oracle_vec, fast_vec, 1e-9)
         out.write(f"state match (up to global phase): {'OK' if ok else 'MISMATCH'}\n")
         status = status or (0 if ok else 3)
-        dev = _clifford_dist_deviation(state, c.measured, oracle_dist)
+        dev = _dist_deviation(oracle_dist, lambda alpha: measure.strong_prob(
+            state, c.measured, alpha).as_float())
     elif tag is CircuitClass.HT_FORM:
-        dev = _ht_dist_deviation(c, oracle_dist, args.limit)
+        dev = _dist_deviation(oracle_dist, lambda alpha: nearclifford.ht_strong_count(
+            c, c.measured, alpha, width_limit=args.limit).as_float())
     elif tag is CircuitClass.PRODUCT_FRONT_CLASSICAL_DIAGONAL:
         dev = _product_dist_deviation(c, oracle_dist)
     else:
@@ -173,22 +175,11 @@ def cmd_verify(args, out, err) -> int:
     return status
 
 
-def _clifford_dist_deviation(state, subset, oracle_dist) -> float:
+def _dist_deviation(oracle_dist, prob) -> float:
+    """Largest |prob(alpha) - p| over the oracle's outcomes alpha."""
     dev = 0.0
     for key, p in oracle_dist.items():
-        alpha = [int(ch) for ch in key]
-        fast = measure.strong_prob(state, subset, alpha).as_float()
-        dev = max(dev, abs(fast - p))
-    return dev
-
-
-def _ht_dist_deviation(c, oracle_dist, limit) -> float:
-    dev = 0.0
-    for key, p in oracle_dist.items():
-        alpha = [int(ch) for ch in key]
-        fast = nearclifford.ht_strong_count(c, c.measured, alpha,
-                                            width_limit=limit).as_float()
-        dev = max(dev, abs(fast - p))
+        dev = max(dev, abs(prob([int(ch) for ch in key]) - p))
     return dev
 
 
@@ -204,8 +195,7 @@ def _product_dist_deviation(c, oracle_dist) -> float:
     outs = nearclifford.eval_classical_batch(
         nearclifford.classical_part(c), xs)[:, list(c.measured)]
     implied: dict[str, float] = {}
-    for row, w in zip(outs, weights):
-        key = "".join(str(int(b)) for b in row)
+    for key, w in zip(measure.format_rows(outs).splitlines(), weights):
         implied[key] = implied.get(key, 0.0) + float(w)
     keys = set(implied) | set(oracle_dist)
     return max(abs(implied.get(k, 0.0) - oracle_dist.get(k, 0.0)) for k in keys)
@@ -214,7 +204,7 @@ def _product_dist_deviation(c, oracle_dist) -> float:
 def _parse_bits(text: str, want: int) -> list[int]:
     cleaned = text.replace(" ", "")
     if len(cleaned) != want or any(ch not in "01" for ch in cleaned):
-        raise ParseError(0, f"--outcome must be {want} bits of 0/1")
+        raise ValueError(f"--outcome must be {want} bits of 0/1")
     return [int(ch) for ch in cleaned]
 
 
@@ -254,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check fast route against oracle")
     common(p)
-    p.add_argument("--limit", type=int, default=nearclifford.DEFAULT_WIDTH_LIMIT)
+    p.add_argument("--limit", type=int, default=nearclifford.DEFAULT_WIDTH_LIMIT,
+                   help="HT brute-force width cap (at most the default)")
     p.set_defaults(func=cmd_verify)
 
     return top
@@ -273,7 +264,7 @@ def run_command(argv, out=None, err=None) -> int:
     except (ParseError, ClassificationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity exceeded: {exc}", file=err)
         return 2
     except InvariantError as exc:

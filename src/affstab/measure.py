@@ -53,7 +53,15 @@ class Outcome:
     bits: tuple[int, ...]
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format_rows([self.bits])[:-1]
+
+
+def format_rows(rows) -> str:
+    """The rows of a (shots, k) bit matrix as 0/1 text, one line per row."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    text = np.full((rows.shape[0], rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = rows + ord("0")
+    return text.tobytes().decode("ascii")
 
 
 def _subset(s: AffineForm, subset) -> tuple[np.ndarray, np.ndarray]:
@@ -92,12 +100,6 @@ def weak_sample_many(s: AffineForm, subset, shots: int,
     r_s, t_s = _subset(s, subset)
     us = rng.integers(0, 2, size=(shots, s.m), dtype=np.uint8)
     return (us @ r_s.T % 2) ^ t_s
-
-
-def weak_sample(s: AffineForm, subset, rng: np.random.Generator) -> Outcome:
-    """Sample one measurement outcome with the exact distribution."""
-    bits = weak_sample_many(s, subset, 1, rng)[0]
-    return Outcome(tuple(subset), tuple(int(b) for b in bits))
 
 
 def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, DyadicProb]]:

@@ -29,7 +29,6 @@ from .affine import AffineForm
 from .circuit import (CLASSICAL_KINDS, DIAGONAL_KINDS, Circuit, Gate,
                       GateKind, expand_swap)
 from .errors import CapacityError, ClassificationError
-from .measure import Outcome
 from .statevector import normalized_prep
 
 # The widest Hadamard layer ht_strong_count enumerates: the default and
@@ -79,29 +78,20 @@ class CountResult:
         return self.numerator / 2 ** self.m
 
 
-def eval_classical(f: ClassicalFunction, x) -> np.ndarray:
-    """Apply the gate list to one bit string."""
-    x = np.asarray(x, dtype=np.uint8).copy()
-    if x.shape != (f.n,):
-        raise ValueError(f"input must have {f.n} bits")
-    for g in f.gates:
-        _apply_classical(x, g)
-    return x
-
-
 def eval_classical_batch(f: ClassicalFunction, xs: np.ndarray) -> np.ndarray:
     """Apply the gate list to every row of a (shots, n) bit matrix."""
     xs = xs.copy()
     for g in f.gates:
-        _apply_classical(xs.T, g)
+        _apply_classical(xs.T, g, 1)
     return xs
 
 
-def _apply_classical(cols, g: Gate) -> None:
-    # `cols` indexes qubits on its first axis; works for a single
-    # string or the transposed batch alike.
+def _apply_classical(cols, g: Gate, ones) -> None:
+    # `cols` indexes qubits on its first axis and each entry holds one
+    # value per column: a row of the transposed batch (ones = 1) or a
+    # big-integer mask over all assignments (ones = the all-ones mask).
     if g.kind is GateKind.X:
-        cols[g.qubits[0]] ^= 1
+        cols[g.qubits[0]] ^= ones
     elif g.kind is GateKind.CNOT:
         c, t = g.qubits
         cols[t] ^= cols[c]
@@ -146,34 +136,6 @@ def classical_part(c: Circuit) -> ClassicalFunction:
 # Pluggable front ends feeding a classical suffix
 
 
-def uniform_bits_front(n: int, positions) -> FrontSampler:
-    """Uniform bits on the given positions, zero elsewhere."""
-    positions = list(positions)
-
-    def draw(shots: int, rng: np.random.Generator) -> np.ndarray:
-        xs = np.zeros((shots, n), dtype=np.uint8)
-        if positions:
-            xs[:, positions] = rng.integers(0, 2, size=(shots, len(positions)),
-                                            dtype=np.uint8)
-        return xs
-
-    return draw
-
-
-def product_state_front(pairs) -> FrontSampler:
-    """Independent biased bits with P(1) = |b|^2 per qubit.
-
-    Bits are drawn by thresholding one 53-bit uniform variate per
-    qubit per shot.
-    """
-    p_one = np.array([abs(b) ** 2 for _, b in pairs])
-
-    def draw(shots: int, rng: np.random.Generator) -> np.ndarray:
-        return (rng.random((shots, len(p_one))) < p_one).astype(np.uint8)
-
-    return draw
-
-
 def affine_form_front(state: AffineForm) -> FrontSampler:
     """Full-width measurement samples of a stabilizer state."""
 
@@ -195,18 +157,18 @@ def sample_through_classical(front: FrontSampler, f: ClassicalFunction,
 # HT circuits
 
 
-def ht_weak_sample(c: Circuit, rng: np.random.Generator) -> Outcome:
-    """One sample of the measured qubits, exactly distributed."""
-    bits = ht_sample_batch(c, 1, rng)[0]
-    return Outcome(tuple(c.measured), tuple(int(b) for b in bits))
-
-
 def ht_sample_batch(c: Circuit, shots: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """(shots, |measured|) outcome bits of an HT circuit."""
+    """(shots, |measured|) outcome bits of an HT circuit.
+
+    The Hadamard bits are drawn uniformly, every other input bit is 0.
+    """
     positions, f = _split_ht(c)
-    front = uniform_bits_front(c.n_qubits, positions)
-    return sample_through_classical(front, f, c.measured, shots, rng)
+    xs = np.zeros((shots, c.n_qubits), dtype=np.uint8)
+    if positions:
+        xs[:, positions] = rng.integers(0, 2, size=(shots, len(positions)),
+                                        dtype=np.uint8)
+    return eval_classical_batch(f, xs)[:, list(c.measured)]
 
 
 def ht_strong_count(c: Circuit, subset, alpha,
@@ -216,14 +178,18 @@ def ht_strong_count(c: Circuit, subset, alpha,
     Counts the Hadamard assignments whose image matches ``alpha`` on
     ``subset``; the answer is numerator / 2^m with m the Hadamard
     count.  Each qubit's value over all 2^m assignments is held as one
-    big integer bit mask, so a gate is one or two word-level ops.
+    big integer bit mask, so the sampler's gate rules apply to the
+    masks unchanged, with the all-ones mask in place of 1.
 
     Raises:
+        ValueError: if ``width_limit`` is negative.
         CapacityError: if ``width_limit`` exceeds DEFAULT_WIDTH_LIMIT
         (it may only lower the cap), or m exceeds ``width_limit``;
         exact probabilities for wide Hadamard layers are #P-hard, so
         the wall is enforced rather than crossed.
     """
+    if width_limit < 0:
+        raise ValueError(f"width limit {width_limit} is negative")
     if width_limit > DEFAULT_WIDTH_LIMIT:
         raise CapacityError(
             f"width limit {width_limit} is above the maximum "
@@ -239,14 +205,7 @@ def ht_strong_count(c: Circuit, subset, alpha,
     for j, q in enumerate(positions):
         values[q] = _assignment_mask(m, j)
     for g in f.gates:
-        if g.kind is GateKind.X:
-            values[g.qubits[0]] ^= full
-        elif g.kind is GateKind.CNOT:
-            cq, t = g.qubits
-            values[t] ^= values[cq]
-        else:
-            c1, c2, t = g.qubits
-            values[t] ^= values[c1] & values[c2]
+        _apply_classical(values, g, full)
     match = full
     subset = list(subset)
     alpha = [int(b) for b in alpha]
@@ -279,24 +238,19 @@ def _assignment_mask(m: int, j: int) -> int:
 # Product-front circuits
 
 
-def product_front_sample(c: Circuit, rng: np.random.Generator) -> Outcome:
-    """One sample of a product-prep + classical/diagonal circuit.
-
-    Diagonal gates only dress basis states with phases, so they are
-    ignored; the classical gates act on bits drawn from the product
-    preparation.
-    """
-    bits = product_front_batch(c, 1, rng)[0]
-    return Outcome(tuple(c.measured), tuple(int(b) for b in bits))
-
-
 def product_front_batch(c: Circuit, shots: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """(shots, |measured|) outcome bits of a product-front circuit."""
+    """(shots, |measured|) outcome bits of a product-front circuit.
+
+    Input bits are independent with P(1) = |b|^2 per qubit, drawn by
+    thresholding one 53-bit uniform variate per qubit per shot.
+    Diagonal gates only dress basis states with phases, so they are
+    ignored; the classical gates act on the drawn bits.
+    """
     for g in c.gates:
         if g.kind not in CLASSICAL_KINDS and g.kind not in DIAGONAL_KINDS:
             raise ClassificationError(
                 f"gate {g.kind.value} is neither classical nor diagonal")
-    front = product_state_front(normalized_prep(c))
-    return sample_through_classical(front, classical_part(c), c.measured,
-                                    shots, rng)
+    p_one = np.array([abs(b) ** 2 for _, b in normalized_prep(c)])
+    xs = (rng.random((shots, len(p_one))) < p_one).astype(np.uint8)
+    return eval_classical_batch(classical_part(c), xs)[:, list(c.measured)]

@@ -209,3 +209,34 @@ def test_invariant_error_is_exit_3_without_traceback(tmp_path, monkeypatch):
     status, out, err = run(["sample", path, "--shots", "4"])
     assert status == 3 and out == ""
     assert err == "internal error: update broke full column rank\n"
+
+
+def test_sample_out_of_memory_is_capacity(tmp_path):
+    # 10^15 shots is past a 47-bit address space, so the first array
+    # allocation fails at once and nothing is allocated.
+    path = circuit_file(tmp_path, "ghz2.cq", GHZ)
+    status, out, err = run(["sample", path, "--shots", str(10 ** 15)])
+    assert status == 2 and out == ""
+    assert err.startswith("capacity exceeded: ") and "Traceback" not in err
+
+
+def test_negative_limit_is_bad_input(tmp_path):
+    path = circuit_file(tmp_path, "ht.cq", HT)
+    for verb in (["prob", path, "--outcome", "1"], ["verify", path]):
+        status, _, err = run(verb + ["--limit", "-1"])
+        assert status == 1 and "negative" in err, verb
+
+
+def test_bad_outcome_is_bad_input_without_line_number(tmp_path):
+    path = circuit_file(tmp_path, "ghz2.cq", GHZ)
+    status, out, err = run(["prob", path, "--outcome", "2"])
+    assert status == 1 and out == ""
+    assert err == "error: --outcome must be 1 bits of 0/1\n"
+
+
+def test_verify_accepts_limit(tmp_path):
+    path = circuit_file(tmp_path, "ht.cq", HT)
+    status, out, _ = run(["verify", path, "--limit", "2"])
+    assert status == 0 and "verdict: PASS" in out
+    status, _, err = run(["verify", path, "--limit", "1"])
+    assert status == 2 and "capacity" in err

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from affstab import (CapacityError, apply_h, enumerate_support, init_zero,
-                     parse, run_clifford, strong_prob, weak_sample,
-                     weak_sample_many)
+                     parse, run_clifford, strong_prob, weak_sample_many)
 from affstab.affine import LinForm, QuadForm
-from affstab.measure import DyadicProb
+from affstab.measure import DyadicProb, Outcome, format_rows
 from affstab.statevector import distribution, run_statevector
 from helpers import all_subsets, random_clifford_circuit
 
@@ -46,8 +45,6 @@ def test_weak_sample_support_constraint():
     rows = weak_sample_many(s, [0, 1], 500, rng)
     for row in rows:
         assert tuple(row) in {(0, 0), (1, 1)}
-    out = weak_sample(s, [0, 1], rng)
-    assert out.qubits == (0, 1) and tuple(out.bits) in {(0, 0), (1, 1)}
 
 
 def test_weak_sample_zero_state_deterministic():
@@ -63,6 +60,15 @@ def test_weak_sample_frequency_five_sigma():
     ones = int(rows.sum())
     sigma = np.sqrt(shots * 0.5 * 0.5)
     assert abs(ones - shots * 0.5) <= 5 * sigma
+
+
+def test_format_rows_matches_per_row_join():
+    rng = np.random.default_rng(6)
+    for shape in ((0, 3), (1, 1), (5, 0), (40, 7)):
+        rows = rng.integers(0, 2, shape, dtype=np.uint8)
+        want = "".join("".join(str(int(b)) for b in row) + "\n" for row in rows)
+        assert format_rows(rows) == want
+    assert str(Outcome((2, 0, 1), (1, 0, 0))) == "100"
 
 
 def test_enumerate_support_examples():
