@@ -15,15 +15,30 @@ the new column system becomes rank deficient, eliminates one parameter
 by summing it out (``sum_out_var``), which either imposes a linear
 constraint on the remaining parameters or leaves a pure phase update.
 
-Cost per gate, with a constant number of vectorised array operations
-each: X copies t, O(n); Z rewrites q's linear part, O(m); P and CZ add
-an outer product to q, O(m^2); CNOT adds one row of R and one column
-of the frame (below), copying R, O(n m), and the frame, O(n^2) bytes.
-A Hadamard costs O(n^2 + m^2) and runs no elimination: the frame, an
-invertible F with F R = [I_m; 0] kept in step with R by every update,
-tells from one column read whether the widened system loses rank and,
-if so, gives its kernel vector.  Updates return a new form that shares
-every array the gate leaves unchanged.
+Storage.  Every bit vector is one Python int.  A vector over the
+parameters keeps parameter i (the i-th column of ``R``) at bit m-1-i,
+so the parameter a Hadamard puts in front takes the next free bit and
+no other bit moves.  R is n such ints (row k: the parameters bit k of
+the ket reads), t one int over the qubits (bit k is t_k), l and the
+linear part of q are parameter ints plus a constant bit, and the cross
+terms of q are the m rows of the symmetric matrix B = cross + cross^T,
+indexed by bit.  The frame (below) is n ints, column c of F holding
+F[i, c] at bit m-1-i for the m parameter rows and at bit i for the
+other rows.  The attributes ``R``, ``t``, ``l``, ``q`` and ``frame``
+are numpy views, built on first read, cached and read-only; the lists
+behind them are never changed after a form is built.
+
+Cost per gate, in operations on ints of at most n bits (one machine
+word per 64 bits): X and Z, O(1); CNOT, O(1) plus copying the two lists
+of n references it changes; P and CZ, one XOR of a row of B per set
+bit of the two affine functions multiplied, O(m).  A Hadamard runs no
+elimination: the frame, an invertible F with F R = [I_m; 0] kept in
+step with R by every update, tells from one column whether the widened
+system loses rank and, if so, gives its kernel vector.  Updating F is
+one pass of a few operations over its n columns; a Hadamard that drops
+a parameter also renumbers the n rows of R and the m rows of B, one
+pass each.  Updates return a new form sharing every list the gate
+leaves unchanged.
 
 Full column rank of R is checked where it costs nothing extra: each
 rank-deficient Hadamard checks R u = e_k in row k, a hand-built form
@@ -34,7 +49,7 @@ raise ``errors.InvariantError``, so they hold under ``python -O``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +59,7 @@ from .errors import CapacityError, ClassificationError, InvariantError
 from .statevector import MAX_QUBITS
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinForm:
     """Affine function u -> coeffs.u + const over GF(2)."""
 
@@ -66,11 +81,8 @@ class LinForm:
         return LinForm(gf2.mat_mul(k.T, self.coeffs),
                        (self.const + gf2.dot(self.coeffs, shift)) % 2)
 
-    def copy(self) -> "LinForm":
-        return LinForm(self.coeffs.copy(), self.const)
 
-
-@dataclass
+@dataclass(frozen=True)
 class QuadForm:
     """Quadratic function over GF(2).
 
@@ -113,55 +125,128 @@ class QuadForm:
                  + gf2.dot(self.lin, shift) + self.const) % 2
         return QuadForm(cross, lin, const)
 
-    def copy(self) -> "QuadForm":
-        return QuadForm(self.cross.copy(), self.lin.copy(), self.const)
+
+# ---------------------------------------------------------------------------
+# Bit rows <-> numpy
 
 
-def linform_product(a: LinForm, b: LinForm) -> QuadForm:
-    """The product of two affine functions, as a quadratic function.
-
-    Diagonal terms a_i b_i u_i^2 are folded into the linear part.
-    """
-    x, y = a.coeffs, b.coeffs
-    outer = x[:, None] & y
-    idx = np.arange(x.shape[0])
-    cross = (outer ^ outer.T) & (idx[:, None] < idx)
-    lin = (x & y) ^ (a.const * y) ^ (b.const * x)
-    return QuadForm(cross, lin.astype(np.uint8, copy=False), a.const & b.const)
+def _ints(a: np.ndarray) -> list[int]:
+    """The rows of a 2-D bit array as ints, column j at bit j."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
+            for i in range(packed.shape[0])]
 
 
-@dataclass
+def _bit_matrix(ints: list[int], width: int) -> np.ndarray:
+    """Inverse of ``_ints``: a (len(ints), width) uint8 array."""
+    nbytes = (width + 7) >> 3
+    raw = b"".join([x.to_bytes(nbytes, "little") for x in ints])
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
+def _param_vector(x: int, m: int) -> np.ndarray:
+    return _frozen(_bit_matrix([x], m)[0, ::-1])
+
+
 class AffineForm:
     """The (R, t, l, q) representation of a stabilizer state.
 
-    ``frame`` is an optional invertible n x n matrix F with
+    Built from numpy pieces, ``AffineForm(n, R, t, l, q, frame=None)``;
+    ``q.cross`` may be any square matrix and is read as the function it
+    denotes.  ``frame`` is an optional invertible n x n matrix F with
     F R = [I_m; 0]: its first m rows read the parameters off a ket
     offset, u = F[:m] (x + t), and its other rows vanish exactly on the
     column space of R.  The gate updates keep it in step with R, so no
     update needs an elimination; when it is None (a hand-built form),
     the next Hadamard computes it once.  It plays no part in the state
-    the form denotes.
+    the form denotes.  Forms are immutable; see the module docstring
+    for the storage.
     """
 
-    n: int
-    R: np.ndarray  # (n, m) uint8, full column rank
-    t: np.ndarray  # (n,) uint8
-    l: LinForm     # over the m parameters
-    q: QuadForm    # over the m parameters
-    frame: np.ndarray | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("n", "_m", "_rows", "_t", "_l", "_l0", "_sym", "_lin", "_q0",
+                 "_cols", "_R_view", "_t_view", "_l_view", "_q_view",
+                 "_frame_view")
+
+    def __init__(self, n: int, R, t, l: LinForm, q: QuadForm, frame=None):
+        R = gf2.bits(R)
+        cross = gf2.bits(q.cross)
+        m = R.shape[1]
+        self.n, self._m = int(n), m
+        self._rows = _ints(R[:, ::-1])
+        (self._t,) = _ints(gf2.bits(t)[None, :])
+        (self._l,) = _ints(gf2.bits(l.coeffs)[None, ::-1])
+        self._l0 = int(l.const) & 1
+        self._sym = _ints((cross ^ cross.T)[::-1, ::-1])
+        (self._lin,) = _ints((gf2.bits(q.lin) ^ np.diagonal(cross))[None, ::-1])
+        self._q0 = int(q.const) & 1
+        self._cols = None
+        if frame is not None:
+            f = gf2.bits(frame)
+            self._cols = _ints(np.concatenate((f[:m][::-1], f[m:])).T)
 
     @property
     def m(self) -> int:
-        return self.R.shape[1]
+        """The number of parameters; 2^m basis states carry the state."""
+        return self._m
 
-    def copy(self) -> "AffineForm":
-        return AffineForm(self.n, self.R.copy(), self.t.copy(),
-                          self.l.copy(), self.q.copy(),
-                          None if self.frame is None else self.frame.copy())
+    @property
+    def R(self) -> np.ndarray:
+        """(n, m) uint8, full column rank."""
+        try:
+            return self._R_view
+        except AttributeError:
+            self._R_view = _frozen(_bit_matrix(self._rows, self._m)[:, ::-1])
+            return self._R_view
 
-    def ket_row(self, k: int) -> LinForm:
-        """Bit k of the ket, x_k(u) = R[k].u + t_k, as an affine function."""
-        return LinForm(self.R[k].copy(), int(self.t[k]))
+    @property
+    def t(self) -> np.ndarray:
+        """(n,) uint8."""
+        try:
+            return self._t_view
+        except AttributeError:
+            self._t_view = _frozen(_bit_matrix([self._t], self.n)[0])
+            return self._t_view
+
+    @property
+    def l(self) -> LinForm:
+        """Over the m parameters."""
+        try:
+            return self._l_view
+        except AttributeError:
+            self._l_view = LinForm(_param_vector(self._l, self._m), self._l0)
+            return self._l_view
+
+    @property
+    def q(self) -> QuadForm:
+        """Over the m parameters."""
+        try:
+            return self._q_view
+        except AttributeError:
+            sym = _bit_matrix(self._sym, self._m)[::-1, ::-1]
+            self._q_view = QuadForm(_frozen(np.triu(sym, 1)),
+                                    _param_vector(self._lin, self._m), self._q0)
+            return self._q_view
+
+    @property
+    def frame(self) -> np.ndarray | None:
+        """(n, n) uint8 with frame @ R = [I_m; 0], or None."""
+        try:
+            return self._frame_view
+        except AttributeError:
+            f = None
+            if self._cols is not None:
+                f = _bit_matrix(self._cols, self.n).T
+                f = _frozen(np.concatenate((f[:self._m][::-1], f[self._m:])))
+            self._frame_view = f
+            return f
 
     def dump(self) -> str:
         """Debug view of (R, t, l, q); format carries no compatibility promise."""
@@ -170,74 +255,129 @@ class AffineForm:
                 f"q=(cross={self.q.cross.tolist()}, "
                 f"lin={self.q.lin.tolist()}, const={self.q.const})")
 
+    def __repr__(self) -> str:
+        return f"AffineForm(n={self.n}, m={self._m}, {self.dump()})"
+
+
+def _make(n: int, m: int, rows: list[int], t: int, l: int, l0: int,
+          sym: list[int], lin: int, q0: int, cols: list[int] | None) -> AffineForm:
+    s = object.__new__(AffineForm)
+    s.n, s._m, s._rows, s._t, s._l, s._l0 = n, m, rows, t, l, l0
+    s._sym, s._lin, s._q0, s._cols = sym, lin, q0, cols
+    return s
+
+
+# The Clifford width cap, sized from a memory budget: ``normalize`` and
+# ``decompose`` hold about six dense n x n uint8 arrays at their peak
+# (measured +95 MB at n = 4000), and 6 * 4096^2 bytes is 96 MiB.  The
+# bit rows alone would allow more (the frame takes n^2/8 bytes).
+MAX_CLIFFORD_QUBITS = 4096
+
+
+def check_clifford_width(n: int) -> None:
+    """Raise ``CapacityError`` before any allocation past the cap."""
+    if n > MAX_CLIFFORD_QUBITS:
+        raise CapacityError(f"Clifford simulation limited to {MAX_CLIFFORD_QUBITS} "
+                            f"qubits, circuit has {n}")
+
 
 def init_zero(n: int) -> AffineForm:
-    """The all-zeros state |0...0> on n qubits (m = 0)."""
+    """The all-zeros state |0...0> on n qubits (m = 0).
+
+    Raises:
+        CapacityError: if n exceeds ``MAX_CLIFFORD_QUBITS``.
+    """
     if n < 1:
         raise ValueError("need at least one qubit")
-    return AffineForm(n, np.zeros((n, 0), dtype=np.uint8),
-                      np.zeros(n, dtype=np.uint8),
-                      LinForm.zero(0), QuadForm.zero(0),
-                      np.eye(n, dtype=np.uint8))
+    check_clifford_width(n)
+    return _make(n, 0, [0] * n, 0, 0, 0, [], 0, 0, [1 << c for c in range(n)])
 
 
 def support_size(s: AffineForm) -> int:
     """log2 of the number of basis states in the support."""
-    return s.m
+    return s._m
+
+
+# ---------------------------------------------------------------------------
+# Gate updates on the bit rows
+
+
+def _times(sym: list[int], lin: int, q0: int, a: int, a0: int, b: int,
+           b0: int) -> tuple[list[int], int, int]:
+    """q + (a.u + a0)(b.u + b0), q given as (B rows, lin, const).
+
+    The cross terms add a b^T + b a^T to B; its diagonal cancels, and
+    the squares a_i b_i u_i go to the linear part.
+    """
+    if a and b:
+        sym = sym.copy()
+        x = a
+        while x:
+            low = x & -x
+            sym[low.bit_length() - 1] ^= b
+            x ^= low
+        x = b
+        while x:
+            low = x & -x
+            sym[low.bit_length() - 1] ^= a
+            x ^= low
+    lin ^= a & b
+    if a0:
+        lin ^= b
+    if b0:
+        lin ^= a
+    return sym, lin, q0 ^ (a0 & b0)
 
 
 def apply_phase_family(s: AffineForm, g: Gate) -> AffineForm:
     """Apply one of P, X, Z, CZ, CNOT; the parameter count never changes.
 
-    The result shares every array the gate leaves unchanged with ``s``.
+    The result shares every list the gate leaves unchanged with ``s``.
     """
-    R, t, l, q, frame = s.R, s.t, s.l, s.q, s.frame
     kind = g.kind
+    t = s._t
+    if kind is GateKind.CNOT:
+        c, d = g.qubits
+        rows = s._rows.copy()
+        rows[d] ^= rows[c]
+        cols = s._cols
+        if cols is not None:
+            # R -> E R with E = E^-1 adding row c to row d, so F -> F E.
+            cols = cols.copy()
+            cols[c] ^= cols[d]
+        return _make(s.n, s._m, rows, t ^ ((t >> c & 1) << d), s._l, s._l0,
+                     s._sym, s._lin, s._q0, cols)
     if kind is GateKind.P:
         (k,) = g.qubits
-        xk = s.ket_row(k)
+        x, x0 = s._rows[k], t >> k & 1
         # i^l * i^xk = (-1)^(l*xk) * i^(l+xk)
-        q = q ^ linform_product(l, xk)
-        l = l ^ xk
-    elif kind is GateKind.CNOT:
-        c, d = g.qubits
-        R = R.copy()
-        R[d] ^= R[c]
-        t = t.copy()
-        t[d] ^= t[c]
-        if frame is not None:
-            # R -> E R with E = E^-1 adding row c to row d, so F -> F E.
-            frame = frame.copy()
-            frame[:, c] ^= frame[:, d]
-    elif kind is GateKind.X:
-        (k,) = g.qubits
-        t = t.copy()
-        t[k] ^= 1
+        sym, lin, q0 = _times(s._sym, s._lin, s._q0, s._l, s._l0, x, x0)
+        return _make(s.n, s._m, s._rows, t, s._l ^ x, s._l0 ^ x0,
+                     sym, lin, q0, s._cols)
+    if kind is GateKind.CZ:
+        a, b = g.qubits
+        sym, lin, q0 = _times(s._sym, s._lin, s._q0, s._rows[a], t >> a & 1,
+                              s._rows[b], t >> b & 1)
     elif kind is GateKind.Z:
         (k,) = g.qubits
-        q = QuadForm(q.cross, q.lin ^ R[k], q.const ^ int(t[k]))
-    elif kind is GateKind.CZ:
-        a, b = g.qubits
-        q = q ^ linform_product(s.ket_row(a), s.ket_row(b))
+        sym, lin, q0 = s._sym, s._lin ^ s._rows[k], s._q0 ^ (t >> k & 1)
+    elif kind is GateKind.X:
+        (k,) = g.qubits
+        return _make(s.n, s._m, s._rows, t ^ (1 << k), s._l, s._l0,
+                     s._sym, s._lin, s._q0, s._cols)
     else:
         raise ValueError(f"not a phase-family gate: {kind.value}")
-    return AffineForm(s.n, R, t, l, q, frame)
+    return _make(s.n, s._m, s._rows, t, s._l, s._l0, sym, lin, q0, s._cols)
 
 
-def _frame(s: AffineForm) -> np.ndarray:
-    if s.frame is not None:
-        return s.frame
+def _frame_cols(s: AffineForm) -> list[int]:
+    if s._cols is not None:
+        return s._cols
     try:
-        return gf2.row_reducer(s.R)
+        f = gf2.row_reducer(s.R)
     except ValueError:
         raise InvariantError("R does not have full column rank") from None
-
-
-def _prepend(bit: int, v: np.ndarray) -> np.ndarray:
-    out = np.empty(v.shape[0] + 1, dtype=np.uint8)
-    out[0] = bit
-    out[1:] = v
-    return out
+    return _ints(np.concatenate((f[:s._m][::-1], f[s._m:])).T)
 
 
 def apply_h(s: AffineForm, k: int) -> AffineForm:
@@ -251,86 +391,104 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
     F[m:, k] is nonzero, and otherwise u = F[:m, k].  In the deficient
     case the change of basis u = Q u' (Q = I with column p, the first
     nonzero of z, replaced by z) clears column p of the ket map, and
-    that parameter is summed out (``sum_out_var``).  The whole update
-    is O(n^2 + m^2), with no elimination.
+    that parameter is summed out (``sum_out_var``).  No elimination.
     """
-    n, m = s.n, s.m
-    frame = _frame(s)
-    col = frame[:, k]
-    r = s.R[k]
-    if col[m:].any():
-        R, t, l, q = _widen(s, k, slice(None))
-        return AffineForm(n, R, t, l, q, _grown_frame(frame, col, r, m))
+    n, m = s.n, s._m
+    cols = _frame_cols(s)
+    col = cols[k]
+    rows, t = s._rows, s._t
+    r = rows[k]
+    tk = t >> k & 1
+    if col >> m:
+        # The fresh parameter v takes bit m: row k of the ket map becomes
+        # e_v, and q gains v * (r.u + t_k).
+        top = 1 << m
+        rows = rows.copy()
+        rows[k] = top
+        sym, lin, q0 = _times(s._sym + [0], s._lin, s._q0, top, 0, r, tk)
+        return _make(n, m + 1, rows, t & ~(1 << k), s._l, s._l0, sym, lin, q0,
+                     _grown_frame(cols, col, r, m))
 
-    u = col[:m]
-    if gf2.dot(r, u) != 1:
+    u = col
+    if not (r & u).bit_count() & 1:
         raise InvariantError("frame out of step with R: R u != e_k")
-    # Index the fresh parameter 0 and old parameter i as i + 1; then
-    # p = dead + 1.  After the change of basis the dead parameter w
-    # enters as i^(lam w) (-1)^(w g) with, writing B = cross + cross^T,
+    # The dead parameter is the first one u uses, its top bit p.  After
+    # the change of basis it enters as i^(lam w) (-1)^(w g) with,
+    # writing B = cross + cross^T,
     #   lam = l.u,   g = v + (B u).u' + q(u) - q(0)   (u' the others),
     # and everything else restricted to the live parameters.
-    dead = int(np.argmax(u))
-    keep = np.arange(m) != dead
-    # uint8 products wrap mod 256, which keeps their parity.
-    xu = s.q.cross @ u
-    bu = (xu + u @ s.q.cross) & 1
-    g = LinForm(_prepend(1, bu[keep]),
-                (int(u @ xu) + int(s.q.lin @ u)) & 1)
-    R, t, lt, h = _widen(s, k, keep)
-    out = _sum_out(n, R, t, gf2.dot(s.l.coeffs, u), lt, g, h)
+    p = u.bit_length() - 1
+    sym = s._sym
+    bu = pairs = 0
+    x = u
+    while x:
+        bit = x & -x
+        row = sym[bit.bit_length() - 1]
+        bu ^= row
+        pairs += (row & u).bit_count()
+        x ^= bit
+    g0 = ((pairs >> 1) + (s._lin & u).bit_count()) & 1
+    lam = (s._l & u).bit_count() & 1
 
-    # The widened column space is col(R) again.  Coordinates in the
-    # new basis [e_k | R_{-k} minus the dead column]: w_i = y_i + y_dead u_i
-    # and v = y_dead + r.w (y the old coordinates).
-    lw = frame[:m][keep] ^ np.outer(u[keep], frame[dead])
-    lv = frame[dead] ^ gf2.mat_mul(r[keep], lw)
-    if out.m == m:
-        out.frame = np.concatenate((lv[None, :], lw, frame[m:]))
-    else:
-        # The constraint g = 0 eliminated v = g(u'): its row becomes a
-        # parity check of the smaller column space.
-        check = lv ^ gf2.mat_mul(g.coeffs[1:], lw)
-        out.frame = np.concatenate((lw, check[None, :], frame[m:]))
+    # Drop bit p, x -> (x & low) | (x >> 1 & high), and give v the top
+    # bit, m-1: the ket map [e_k | R_{-k}] and q + v * (r.u + t_k) over
+    # the parameters that stay.
+    low, high, top = (1 << p) - 1, -(1 << p), 1 << (m - 1)
+    rows = [(x & low) | (x >> 1 & high) for x in rows]
+    rows[k] = top
+    wide = [(x & low) | (x >> 1 & high) for x in sym]
+    del wide[p]
+    wide, lin, q0 = _times(wide + [0], (s._lin & low) | (s._lin >> 1 & high), s._q0,
+                           top, 0, (r & low) | (r >> 1 & high), tk)
+    out = _sum_out(n, m, rows, t & ~(1 << k), lam, top | (bu & low) | (bu >> 1 & high),
+                   g0, (s._l & low) | (s._l >> 1 & high), s._l0, wide, lin, q0)
+    out._cols = _shrunk_frame(cols, u, r, bu, p, m, lam)
     return out
 
 
-def _widen(s: AffineForm, k: int, keep) -> tuple[np.ndarray, np.ndarray,
-                                                  LinForm, QuadForm]:
-    """Hadamard on k before any elimination, over the fresh parameter
-    and the old parameters ``keep`` selects: ket map [e_k | R_{-k}]
-    (R with row k cleared), x_k's shift cleared, l unchanged and
-    q + v * x_k(u)."""
-    cols = s.R[:, keep]
-    R = np.zeros((s.n, cols.shape[1] + 1), dtype=np.uint8)
-    R[:, 1:] = cols
-    R[k] = 0
-    R[k, 0] = 1
-    t = s.t.copy()
-    t[k] = 0
-    cross = np.zeros((R.shape[1], R.shape[1]), dtype=np.uint8)
-    cross[1:, 1:] = s.q.cross[keep][:, keep]
-    cross[0, 1:] = s.R[k, keep]
-    return (R, t, LinForm(_prepend(0, s.l.coeffs[keep]), s.l.const),
-            QuadForm(cross, _prepend(int(s.t[k]), s.q.lin[keep]), s.q.const))
-
-
-def _grown_frame(frame: np.ndarray, col: np.ndarray, r: np.ndarray,
-                 m: int) -> np.ndarray:
+def _grown_frame(cols: list[int], col: int, r: int, m: int) -> list[int]:
     """The frame for [e_k | R_{-k}] when e_k is outside col(R).
 
-    F [e_k | R] = [col | I_m; 0].  Clearing col with a parity row j
-    (col_j = 1, j >= m) and moving row j to the top gives a frame for
-    [e_k | R]; [e_k | R_{-k}] = [e_k | R] T with T = [[1, r], [0, I]]
-    = T^-1, so the top row then picks up r times the next m rows.
+    Make the check row at bit m meet e_k (adding another check row j
+    that does, if it does not), clear column k with it, and add the
+    parameter rows r selects: with R_{-k} = R + e_k r^T that row then
+    reads 1 on e_k and 0 on R_{-k}, so it is the row of v.  Per column
+    x of F, the first step adds bit m where x has bit j, clearing adds
+    ``hit`` where the result has bit m, and the last step adds the
+    parity of (x & r) to bit m; all three are linear in x, so they fold
+    into one pass.
     """
-    j = m + int(np.argmax(col[m:]))
-    hit = col.copy()
-    hit[j] = 0
-    cleared = frame ^ np.outer(hit, frame[j])
-    out = np.concatenate((cleared[j:j + 1], cleared[:j], cleared[j + 1:]))
-    out[0] ^= gf2.mat_mul(r, out[1:m + 1])
-    return out
+    top = 1 << m
+    j = 0 if col & top else (col >> m & -(col >> m)) << m
+    hit = col & ~top
+    flip = hit ^ (top if (hit & r).bit_count() & 1 else 0)
+    return [x ^ (flip if x & top else 0) ^ (flip ^ top if x & j else 0)
+            ^ (top if (x & r).bit_count() & 1 else 0) for x in cols]
+
+
+def _shrunk_frame(cols: list[int], u: int, r: int, bu: int, p: int, m: int,
+                  lam: int) -> list[int]:
+    """The frame after a rank-deficient Hadamard that dropped bit p.
+
+    In the basis [e_k | R_{-k} without the dead column], the live
+    coordinates are w_i = y_i + y_p u_i and v = y_p + r.w (y the old
+    ones).  When lam = 1, v keeps bit m-1; otherwise the constraint
+    v = (B u).w eliminated it, and v + (B u).w becomes a check row at
+    bit m-1.  Per column x of F the row y_p adds ``spread`` where x has
+    bit p; as the rest is linear in x, the new column is compact(x),
+    plus the parity of (x & reads) at bit m-1, plus ``shift`` where x
+    has bit p.
+    """
+    pbit = 1 << p
+    spread = u ^ pbit
+    reads = (r if lam else r ^ bu) & ~pbit
+    top = 1 << (m - 1)
+    keep = (pbit - 1) | -(top << 1)   # bits below p, and the checks
+    mid = (top - 1) & -pbit           # parameter bits above p, moved down
+    shift = (((spread & keep) | (spread >> 1 & mid))
+             ^ (0 if (spread & reads).bit_count() & 1 else top))
+    return [((x & keep) | (x >> 1 & mid)) ^ (shift if x & pbit else 0)
+            ^ (top if (x & reads).bit_count() & 1 else 0) for x in cols]
 
 
 def sum_out_var(s: AffineForm, dead: int) -> AffineForm:
@@ -351,40 +509,48 @@ def sum_out_var(s: AffineForm, dead: int) -> AffineForm:
         InvariantError: if the ket still depends on ``dead``, or the
         constraint is 1 = 0.
     """
-    if s.R[:, dead].any():
+    p = s._m - 1 - dead
+    pbit = 1 << p
+    if any(x & pbit for x in s._rows):
         raise InvariantError("dead parameter still appears in the ket")
-    live = np.arange(s.m) != dead
-    lt = LinForm(s.l.coeffs[live], s.l.const)
-    g = LinForm((s.q.cross[dead, :] ^ s.q.cross[:, dead])[live],
-                int(s.q.lin[dead]))
-    h = QuadForm(s.q.cross[live][:, live], s.q.lin[live], s.q.const)
-    return _sum_out(s.n, s.R[:, live], s.t, int(s.l.coeffs[dead]), lt, g, h)
+    low, high = pbit - 1, -pbit
+    sym = [(x & low) | (x >> 1 & high) for x in s._sym]
+    g = sym.pop(p)
+    return _sum_out(s.n, s._m - 1, [(x & low) | (x >> 1 & high) for x in s._rows],
+                    s._t, s._l >> p & 1, g, s._lin >> p & 1,
+                    (s._l & low) | (s._l >> 1 & high), s._l0, sym,
+                    (s._lin & low) | (s._lin >> 1 & high), s._q0)
 
 
-def _sum_out(n: int, R: np.ndarray, t: np.ndarray, lam: int, lt: LinForm,
-             g: LinForm, h: QuadForm) -> AffineForm:
-    """The case table of ``sum_out_var``, given its pieces."""
-    if lam == 1:
-        one_plus_lt = LinForm(lt.coeffs, lt.const ^ 1)
-        return AffineForm(n, R, t, g, h ^ linform_product(g, one_plus_lt))
-    if not g.coeffs.any():
-        if g.const:
+def _sum_out(n: int, m: int, rows: list[int], t: int, lam: int, g: int, g0: int,
+             l: int, l0: int, sym: list[int], lin: int, q0: int) -> AffineForm:
+    """The case table of ``sum_out_var``, given its pieces over the m
+    live parameters: l = (l, l0) is lt and (sym, lin, q0) is h."""
+    if lam:
+        sym, lin, q0 = _times(sym, lin, q0, g, g0, l, l0 ^ 1)
+        return _make(n, m, rows, t, g, g0, sym, lin, q0, None)
+    if not g:
+        if g0:
             raise InvariantError("constraint 1 = 0 would annihilate the state")
-        return AffineForm(n, R, t, lt, h)
-    # g = 0 fixes u_f = a(others), f the first parameter g depends on.
-    f = int(np.argmax(g.coeffs))
-    rest = np.arange(g.coeffs.shape[0]) != f
-    a = LinForm(g.coeffs[rest], g.const)
-    col = R[:, f]
-    lf = int(lt.coeffs[f])
-    # q = h_rest + u_f * (B[f].u + lin_f), B = cross + cross^T.
-    h_f = LinForm((h.cross[f] ^ h.cross[:, f])[rest], int(h.lin[f]))
-    h_rest = QuadForm(h.cross[rest][:, rest], h.lin[rest], h.const)
-    return AffineForm(n, R[:, rest] ^ np.outer(col, a.coeffs),
-                      t ^ (col * a.const),
-                      LinForm(lt.coeffs[rest] ^ (lf * a.coeffs),
-                              lt.const ^ (lf & a.const)),
-                      h_rest ^ linform_product(a, h_f))
+        return _make(n, m, rows, t, l, l0, sym, lin, q0, None)
+    # g = 0 fixes u_f = a(others), f the first parameter g depends on
+    # (its top bit); q = h_rest + u_f * (B[f].u + lin_f).
+    f = g.bit_length() - 1
+    fbit = 1 << f
+    low, high = fbit - 1, -fbit
+    a = (g & low) | (g >> 1 & high)
+    if g0:
+        t ^= sum(1 << i for i, x in enumerate(rows) if x & fbit)
+    rows = [((x & low) | (x >> 1 & high)) ^ (a if x & fbit else 0) for x in rows]
+    lf = l >> f & 1
+    hf = sym[f]
+    sym = [(x & low) | (x >> 1 & high) for x in sym]
+    del sym[f]
+    sym, lin2, q0 = _times(sym, (lin & low) | (lin >> 1 & high), q0, a, g0,
+                           (hf & low) | (hf >> 1 & high), lin >> f & 1)
+    return _make(n, m - 1, rows, t,
+                 ((l & low) | (l >> 1 & high)) ^ (a if lf else 0), l0 ^ (lf & g0),
+                 sym, lin2, q0, None)
 
 
 _EXPANDED = (GateKind.PDG, GateKind.SWAP)
@@ -412,7 +578,7 @@ def run_clifford(c: Circuit) -> AffineForm:
     s = init_zero(c.n_qubits)
     for g in c.gates:
         s = apply_gate(s, g)
-    if gf2.rank(s.R) != s.m:
+    if gf2.rank(s.R) != s._m:
         raise InvariantError("update broke full column rank")
     return s
 

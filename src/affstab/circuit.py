@@ -20,6 +20,7 @@ simulation passes.  Diagonal rotation angles are exact rationals
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -71,13 +72,19 @@ PREP_NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Gate:
-    """A single gate: kind, ordered distinct qubit indices, optional angle."""
+    """A single gate: kind, ordered distinct qubit indices, optional angle.
+
+    Indices are stored as a tuple of Python ints (numpy integers are
+    converted), since the simulators use them as shift counts.
+    """
 
     kind: GateKind
     qubits: tuple[int, ...]
     angle: tuple[int, int] | None = None
 
     def __post_init__(self):
+        if type(self.qubits) is not tuple or any(type(q) is not int for q in self.qubits):
+            object.__setattr__(self, "qubits", tuple(map(operator.index, self.qubits)))
         if len(self.qubits) != ARITY[self.kind]:
             raise ValueError(
                 f"{self.kind.value} takes {ARITY[self.kind]} qubit(s), "
@@ -200,13 +207,52 @@ def parse(text: str) -> Circuit:
     prep_pairs: dict[int, tuple[complex, complex]] = {}
     gates: list[Gate] = []
     measured: tuple[int, ...] | None = None
+    in_body = False  # after the header and before 'measure'
 
+    # Each statement is checked once, as it is read, so the frozen Gate
+    # and Circuit are built without running their __post_init__ checks.
+    new, setattr_ = object.__new__, object.__setattr__
+    specs = _GATE_SPECS
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        verb, args = tokens[0].lower(), tokens[1:]
+        verb = tokens[0].lower()
+        spec = specs.get(verb)
+        if spec is not None and in_body:
+            # A gate: the checks of ``Gate``, in the order the messages
+            # promise.
+            kind, arity, want = spec
+            if len(tokens) != want + 1:
+                raise ParseError(ln, f"'{verb}' takes {want} argument(s)")
+            try:
+                # tuple() of a list reuses freed small tuples; tuple(map())
+                # allocates fresh ones, which runs the cyclic garbage
+                # collector more often.
+                nums = tuple([int(tok) for tok in tokens[1:]])
+            except ValueError:
+                nums = tuple(_parse_int(ln, tokens[1:], verb))  # raises: a bad token
+            qubits = nums if want == arity else nums[:arity]
+            for q in qubits:
+                if not 0 <= q < n_qubits:
+                    raise ParseError(ln, f"qubit index {q} out of range for {n_qubits} qubits")
+            if arity > 1 and len(set(qubits)) != arity:
+                raise ParseError(ln, f"duplicate qubit in '{verb}'")
+            angle = None
+            if want != arity:
+                if nums[arity + 1] <= 0:
+                    raise ParseError(ln, "angle denominator must be positive")
+                angle = nums[arity:]
+            g = new(Gate)
+            setattr_(g, "kind", kind)
+            setattr_(g, "qubits", qubits)
+            setattr_(g, "angle", angle)
+            if kind is GateKind.SWAP:
+                gates.extend(expand_swap(g))
+            else:
+                gates.append(g)
+            continue
+        args = tokens[1:]
 
         if n_qubits is None:
             if verb != "qubits":
@@ -214,6 +260,7 @@ def parse(text: str) -> Circuit:
             n_qubits = _parse_int(ln, args, "qubits", count=1)[0]
             if n_qubits < 1:
                 raise ParseError(ln, "qubit count must be positive")
+            in_body = True
             continue
         if measured is not None:
             raise ParseError(ln, "no statements allowed after 'measure'")
@@ -247,29 +294,9 @@ def parse(text: str) -> Circuit:
             for q in qubits:
                 _check_index(ln, q, n_qubits)
             measured = tuple(qubits)
+            in_body = False
         else:
-            try:
-                kind = GateKind(verb)
-            except ValueError:
-                raise ParseError(ln, f"unknown mnemonic '{verb}'")
-            arity = ARITY[kind]
-            want = arity + (2 if kind in ANGLED else 0)
-            if len(args) != want:
-                raise ParseError(ln, f"'{verb}' takes {want} argument(s)")
-            nums = _parse_int(ln, args, verb)
-            qubits = tuple(nums[:arity])
-            for q in qubits:
-                _check_index(ln, q, n_qubits)
-            if len(set(qubits)) != arity:
-                raise ParseError(ln, f"duplicate qubit in '{verb}'")
-            angle = None
-            if kind in ANGLED:
-                num, den = nums[arity], nums[arity + 1]
-                if den <= 0:
-                    raise ParseError(ln, "angle denominator must be positive")
-                angle = (num, den)
-            g = Gate(kind, qubits, angle)
-            gates.extend(expand_swap(g))
+            raise ParseError(ln, f"unknown mnemonic '{verb}'")
 
     if n_qubits is None:
         raise ParseError(0, "empty input: missing 'qubits N' header")
@@ -277,8 +304,17 @@ def parse(text: str) -> Circuit:
     if prep_pairs:
         prep = tuple(prep_pairs.get(q, (complex(1.0), complex(0.0)))
                      for q in range(n_qubits))
-    return Circuit(n_qubits, tuple(gates), prep,
-                   measured if measured is not None else (0,))
+    c = new(Circuit)
+    setattr_(c, "n_qubits", n_qubits)
+    setattr_(c, "gates", tuple(gates))
+    setattr_(c, "prep", prep)
+    setattr_(c, "measured", measured if measured is not None else (0,))
+    return c
+
+
+# mnemonic -> (kind, qubit count, argument count)
+_GATE_SPECS = {kind.value: (kind, ARITY[kind], ARITY[kind] + 2 * (kind in ANGLED))
+               for kind in GateKind}
 
 
 def _parse_int(ln: int, toks: list[str], verb: str, count: int | None = None) -> list[int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .affine import AffineForm, LinForm, run_clifford
+from .affine import AffineForm, LinForm, check_clifford_width, run_clifford
 from .circuit import Circuit, CircuitClass, Gate, GateKind, basic_clifford_gates, classify, gate
 from .errors import ClassificationError, InvariantError
 
@@ -145,6 +145,7 @@ def conjugate_pauli(p: PauliTerm, g: Gate) -> PauliTerm:
 def _generator_stack(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows sigma_i = C X_i C^dagger of a Clifford circuit, as (x, z, e)."""
     n = c.n_qubits
+    check_clifford_width(n)
     x, z = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
     e = np.zeros(n, dtype=np.uint8)
     for g in basic_clifford_gates(c.gates):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,14 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from affstab import (AffineForm, GateKind, amplitude, apply_gate, apply_h,
+from affstab import (AffineForm, Circuit, GateKind, amplitude, apply_gate, apply_h,
                      apply_phase_family, gate, init_zero, parse, run_clifford,
                      sum_out_var, support_size, to_statevector)
 from affstab import gf2
-from affstab.affine import LinForm, QuadForm, linform_product
+from affstab.affine import LinForm, QuadForm, _make, _times
 from affstab.errors import ClassificationError, InvariantError
 from affstab.statevector import equal_up_to_phase, run_statevector
 from helpers import random_clifford_circuit
+
+CLIFFORD_ALL = (GateKind.H, GateKind.P, GateKind.PDG, GateKind.CNOT,
+                GateKind.X, GateKind.Z, GateKind.CZ, GateKind.SWAP)
 
 GHZ_TEXT = "qubits 2\nh 0\ncnot 0 1"
 
@@ -34,15 +38,23 @@ def test_init_zero():
 
 
 def test_linform_product_brute_force():
+    # q + a*b on the bit rows (``_times``), read back through the q view.
     rng = np.random.default_rng(4)
     for _ in range(200):
         m = int(rng.integers(0, 6))
+        n = max(m, 1)
+        r, t = np.eye(n, m, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
         a = LinForm(rng.integers(0, 2, m, dtype=np.uint8), int(rng.integers(0, 2)))
         b = LinForm(rng.integers(0, 2, m, dtype=np.uint8), int(rng.integers(0, 2)))
-        prod = linform_product(a, b)
+        q = QuadForm(np.triu(rng.integers(0, 2, (m, m), dtype=np.uint8), 1),
+                     rng.integers(0, 2, m, dtype=np.uint8), int(rng.integers(0, 2)))
+        sa, sb = AffineForm(n, r, t, a, q), AffineForm(n, r, t, b, q)
+        sym, lin, q0 = _times(sa._sym, sa._lin, sa._q0, sa._l, sa._l0, sb._l, sb._l0)
+        prod = _make(n, m, sa._rows, sa._t, 0, 0, sym, lin, q0, None).q
+        assert np.array_equal(sa.q.cross, q.cross)  # the input rows are unchanged
         for code in range(2 ** m):
             u = np.array([(code >> i) & 1 for i in range(m)], dtype=np.uint8)
-            assert prod(u) == (a(u) * b(u)) % 2
+            assert prod(u) == (q(u) + a(u) * b(u)) % 2
 
 
 def test_quadform_compose_brute_force():
@@ -284,3 +296,48 @@ def test_apply_h_rejects_rank_deficient_form():
     with pytest.raises(InvariantError):
         apply_h(s, 0)
 
+
+# sha256 of dump() after run_clifford, frozen from the numpy engine the
+# bit rows replaced (seeded circuits of 10n gates of every Clifford kind).
+GOLDEN_DUMPS = {
+    20: "08cff3a8accc98715d720ee734a97bfde433d13db5dae500dcce12ce00b990c1",
+    50: "95278f9f2fd8944e4caeca6626f501c3dde26ddcb01365b339b7adeae5d0949c",
+    100: "d9a358f9fd09816a57ca39a387decd39041fcbb667ce4c8ac6143c1ecd3a5f40",
+    200: "53a4b5d55077ffda048a726ffa0d1c0232039e62b4e60001344ffc93f0510bd4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_DUMPS))
+def test_dump_matches_golden_hash(n):
+    c = random_clifford_circuit(np.random.default_rng([n, 6]), n, 10 * n,
+                                kinds=CLIFFORD_ALL)
+    dump = run_clifford(c).dump()
+    assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_DUMPS[n]
+
+
+def test_views_are_read_only():
+    # The arrays are built once from the bit rows; writing into them
+    # (or replacing them) must fail rather than drift from the rows.
+    s = apply_h(ghz(), 1)
+    for view in (s.R, s.t, s.frame, s.l.coeffs, s.q.cross, s.q.lin):
+        with pytest.raises(ValueError):
+            view[0] = 1
+    assert s.R is s.R and s.q is s.q
+    for name in ("R", "t", "l", "q", "frame"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+    assert np.array_equal(gf2.mat_mul(s.frame, s.R), np.eye(2, s.m, dtype=np.uint8))
+
+
+def test_numpy_indices_match_int_indices():
+    # Qubit indices from numpy (past 63, where a numpy shift would wrap)
+    # give the same state as Python ints.
+    rng = np.random.default_rng(33)
+    n = 90
+    c = random_clifford_circuit(rng, n, 10 * n, kinds=CLIFFORD_ALL)
+    wide = [g for g in c.gates if min(g.qubits) >= 64]
+    assert wide
+    numpy_gates = tuple(type(g)(g.kind, tuple(np.int64(q) for q in g.qubits))
+                        for g in c.gates)
+    assert all(type(q) is int for g in numpy_gates for q in g.qubits)
+    assert run_clifford(Circuit(n, numpy_gates)).dump() == run_clifford(c).dump()

@@ -7,8 +7,6 @@ exactly with the rule it replaced, which found the widened kernel by
 elimination (``gf2.rank`` + ``gf2.kernel_basis``).
 """
 
-import dataclasses
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,7 +75,7 @@ def test_gates_keep_rank_and_match_oracle(case):
     tensor = tensor.reshape([2] * n)
     for g, bare in steps:
         if bare:
-            s = dataclasses.replace(s, frame=None)
+            s = AffineForm(s.n, s.R, s.t, s.l, s.q)
         before = s
         s = apply_gate(s, g)
         _apply_gate_tensor(tensor, g)

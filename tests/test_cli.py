@@ -3,6 +3,7 @@ import io
 import numpy as np
 
 from affstab import emit, parse
+from affstab.affine import MAX_CLIFFORD_QUBITS
 from affstab.cli import run_command
 from helpers import random_clifford_circuit
 
@@ -240,3 +241,23 @@ def test_verify_accepts_limit(tmp_path):
     assert status == 0 and "verdict: PASS" in out
     status, _, err = run(["verify", path, "--limit", "1"])
     assert status == 2 and "capacity" in err
+
+
+def wide_clifford(tmp_path, n):
+    return circuit_file(tmp_path, f"wide{n}.cq", f"qubits {n}\nh 0\ncnot 0 1\n")
+
+
+def test_clifford_width_just_below_cap(tmp_path):
+    path = wide_clifford(tmp_path, MAX_CLIFFORD_QUBITS)
+    status, out, _ = run(["sample", path, "--shots", "3", "--qubits", "0", "1"])
+    assert status == 0 and len(out.split()) == 3 and set(out.split()) <= {"00", "11"}
+    assert run(["prob", path, "--qubits", "1", "--outcome", "1"])[:2] == (0, "2^-1\n")
+
+
+def test_clifford_width_just_above_cap(tmp_path):
+    path = wide_clifford(tmp_path, MAX_CLIFFORD_QUBITS + 1)
+    for argv in (["sample", path], ["prob", path], ["normalize", path],
+                 ["decompose", path]):
+        status, out, err = run(argv)
+        assert status == 2 and out == "", argv
+        assert err.startswith("capacity exceeded:"), argv

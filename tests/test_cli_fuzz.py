@@ -5,8 +5,10 @@ quarter of them with one malformed or misplaced statement) must give
 a circuit or a ``ParseError`` from ``parse``, and random argv on it
 must end in one of the documented exit codes from ``run_command``:
 0 success, 1 bad input, 2 capacity, 3 mismatch.  No exception may
-escape.  Widths stay at n <= 6 and shots at <= 64, so every example
-is cheap.
+escape.  Gates stay on n <= 6 qubits and shots at <= 64, so every
+example is cheap; now and then a Clifford circuit declares a header
+past the Clifford width cap, which must end in exit 1 or 2 before
+anything of that width is allocated.
 """
 
 import io
@@ -15,11 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from affstab import Circuit, ParseError, parse
+from affstab.affine import MAX_CLIFFORD_QUBITS
 from affstab.circuit import (ANGLED, ARITY, CLASSICAL_KINDS, CLIFFORD_KINDS,
                              DIAGONAL_KINDS, GateKind)
 from affstab.cli import run_command
 
 MAX_N = 6
+# Headers past the Clifford width cap (Clifford circuits only: the other
+# families have no such cap, and a prep line makes parse O(header)).
+LARGE_N = (MAX_CLIFFORD_QUBITS + 1, 10 ** 12)
 AMPLITUDES = ("0", "1", "-1", "0.6", "0.8", "0.7071067811865476", "nan",
               "1e200", "x")
 
@@ -70,7 +76,10 @@ def circuit_texts(draw) -> tuple[int, str]:
     """A circuit of one of the simulated families, maybe with junk in it."""
     n = draw(st.integers(1, MAX_N))
     family = draw(st.sampled_from(list(FAMILIES)))
-    lines = [f"qubits {n}"]
+    header = n
+    if family == "clifford" and draw(st.sampled_from([False] * 7 + [True])):
+        header = draw(st.sampled_from(LARGE_N))
+    lines = [f"qubits {header}"]
     if family in ("product", "any"):
         for q in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
             a, b = draw(st.sampled_from([("1", "0"), ("0", "1"), ("0.6", "0.8"),
@@ -120,7 +129,8 @@ def test_parse_returns_circuit_or_parse_error(sized_text):
         c = parse(text)
     except ParseError:
         return
-    assert isinstance(c, Circuit) and 1 <= c.n_qubits <= MAX_N
+    assert isinstance(c, Circuit)
+    assert 1 <= c.n_qubits <= MAX_N or c.n_qubits in LARGE_N
 
 
 @settings(max_examples=300, deadline=None,
@@ -136,3 +146,5 @@ def test_every_verb_ends_in_a_documented_exit_code(tmp_path, data):
     assert status in (0, 1, 2, 3), (argv, status)
     if status:
         assert out.getvalue() == "" or argv[0] == "verify", argv
+    if f"qubits {MAX_CLIFFORD_QUBITS + 1}" in text or "qubits 1000000000000" in text:
+        assert status in (1, 2), argv

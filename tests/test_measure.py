@@ -5,7 +5,7 @@ import pytest
 
 from affstab import (CapacityError, apply_h, enumerate_support, init_zero,
                      parse, run_clifford, strong_prob, weak_sample_many)
-from affstab.affine import LinForm, QuadForm
+from affstab.affine import AffineForm, LinForm, QuadForm
 from affstab.measure import DyadicProb, Outcome, format_rows
 from affstab.statevector import distribution, run_statevector
 from helpers import all_subsets, random_clifford_circuit
@@ -120,13 +120,12 @@ def test_probabilities_ignore_phases():
     for _ in range(50):
         n = int(rng.integers(1, 6))
         s = run_clifford(random_clifford_circuit(rng, n, int(rng.integers(0, 30))))
-        scrambled = s.copy()
         m = s.m
-        scrambled.l = LinForm(rng.integers(0, 2, m, dtype=np.uint8),
-                              int(rng.integers(0, 2)))
-        scrambled.q = QuadForm(
-            np.triu(rng.integers(0, 2, (m, m), dtype=np.uint8), 1),
-            rng.integers(0, 2, m, dtype=np.uint8), int(rng.integers(0, 2)))
+        scrambled = AffineForm(
+            s.n, s.R, s.t,
+            LinForm(rng.integers(0, 2, m, dtype=np.uint8), int(rng.integers(0, 2))),
+            QuadForm(np.triu(rng.integers(0, 2, (m, m), dtype=np.uint8), 1),
+                     rng.integers(0, 2, m, dtype=np.uint8), int(rng.integers(0, 2))))
         for subset in all_subsets(n, 2):
             for _ in range(3):
                 alpha = rng.integers(0, 2, len(subset), dtype=np.uint8)

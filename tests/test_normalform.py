@@ -3,7 +3,8 @@ import pytest
 
 from affstab import (Circuit, GateKind, amplitude, gate, gf2, init_zero, parse,
                      run_clifford, synthesize_state_prep)
-from affstab.errors import ClassificationError
+from affstab.affine import MAX_CLIFFORD_QUBITS
+from affstab.errors import CapacityError, ClassificationError
 from affstab.normalform import (PauliTerm, conjugate_pauli,
                                 conjugated_generators, decompose_operator)
 from affstab.statevector import (circuit_unitary, equal_up_to_phase,
@@ -204,3 +205,9 @@ def test_decompose_beyond_oracle_width():
         points = gf2.mat_mul(us, s1.R.T) ^ s1.t
         ratios = [amplitude(s2, x) / amplitude(s1, x) for x in points]
         assert np.allclose(ratios, ratios[0], atol=1e-12)
+
+
+def test_generator_stack_width_cap():
+    n = MAX_CLIFFORD_QUBITS + 1
+    with pytest.raises(CapacityError):
+        conjugated_generators(Circuit(n, (gate(GateKind.H, n - 1),)))
