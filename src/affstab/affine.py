@@ -126,26 +126,6 @@ class QuadForm:
         return QuadForm(cross, lin, const)
 
 
-# ---------------------------------------------------------------------------
-# Bit rows <-> numpy
-
-
-def _ints(a: np.ndarray) -> list[int]:
-    """The rows of a 2-D bit array as ints, column j at bit j."""
-    packed = np.packbits(a, axis=1, bitorder="little")
-    width, raw = packed.shape[1], packed.tobytes()
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
-            for i in range(packed.shape[0])]
-
-
-def _bit_matrix(ints: list[int], width: int) -> np.ndarray:
-    """Inverse of ``_ints``: a (len(ints), width) uint8 array."""
-    nbytes = (width + 7) >> 3
-    raw = b"".join([x.to_bytes(nbytes, "little") for x in ints])
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -153,44 +133,40 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _param_vector(x: int, m: int) -> np.ndarray:
-    return _frozen(_bit_matrix([x], m)[0, ::-1])
+    return _frozen(gf2.bit_matrix([x], m)[0, ::-1])
 
 
 class AffineForm:
     """The (R, t, l, q) representation of a stabilizer state.
 
-    Built from numpy pieces, ``AffineForm(n, R, t, l, q, frame=None)``;
-    ``q.cross`` may be any square matrix and is read as the function it
-    denotes.  ``frame`` is an optional invertible n x n matrix F with
-    F R = [I_m; 0]: its first m rows read the parameters off a ket
-    offset, u = F[:m] (x + t), and its other rows vanish exactly on the
-    column space of R.  The gate updates keep it in step with R, so no
-    update needs an elimination; when it is None (a hand-built form),
-    the next Hadamard computes it once.  It plays no part in the state
-    the form denotes.  Forms are immutable; see the module docstring
-    for the storage.
+    Built from numpy pieces, ``AffineForm(n, R, t, l, q)``; ``q.cross``
+    may be any square matrix and is read as the function it denotes.
+    Forms built by the gate updates also carry a frame, an invertible
+    n x n matrix F with F R = [I_m; 0]: its first m rows read the
+    parameters off a ket offset, u = F[:m] (x + t), and its other rows
+    vanish exactly on the column space of R.  The updates keep it in
+    step with R, so no update needs an elimination; a hand-built form
+    has none, and the next Hadamard computes it once from R.  It plays
+    no part in the state the form denotes.  Forms are immutable; see
+    the module docstring for the storage.
     """
 
     __slots__ = ("n", "_m", "_rows", "_t", "_l", "_l0", "_sym", "_lin", "_q0",
                  "_cols", "_R_view", "_t_view", "_l_view", "_q_view",
                  "_frame_view")
 
-    def __init__(self, n: int, R, t, l: LinForm, q: QuadForm, frame=None):
+    def __init__(self, n: int, R, t, l: LinForm, q: QuadForm):
         R = gf2.bits(R)
         cross = gf2.bits(q.cross)
-        m = R.shape[1]
-        self.n, self._m = int(n), m
-        self._rows = _ints(R[:, ::-1])
-        (self._t,) = _ints(gf2.bits(t)[None, :])
-        (self._l,) = _ints(gf2.bits(l.coeffs)[None, ::-1])
+        self.n, self._m = int(n), R.shape[1]
+        self._rows = gf2.ints(R[:, ::-1])
+        (self._t,) = gf2.ints(gf2.bits(t)[None, :])
+        (self._l,) = gf2.ints(gf2.bits(l.coeffs)[None, ::-1])
         self._l0 = int(l.const) & 1
-        self._sym = _ints((cross ^ cross.T)[::-1, ::-1])
-        (self._lin,) = _ints((gf2.bits(q.lin) ^ np.diagonal(cross))[None, ::-1])
+        self._sym = gf2.ints((cross ^ cross.T)[::-1, ::-1])
+        (self._lin,) = gf2.ints((gf2.bits(q.lin) ^ np.diagonal(cross))[None, ::-1])
         self._q0 = int(q.const) & 1
         self._cols = None
-        if frame is not None:
-            f = gf2.bits(frame)
-            self._cols = _ints(np.concatenate((f[:m][::-1], f[m:])).T)
 
     @property
     def m(self) -> int:
@@ -203,7 +179,7 @@ class AffineForm:
         try:
             return self._R_view
         except AttributeError:
-            self._R_view = _frozen(_bit_matrix(self._rows, self._m)[:, ::-1])
+            self._R_view = _frozen(gf2.bit_matrix(self._rows, self._m)[:, ::-1])
             return self._R_view
 
     @property
@@ -212,7 +188,7 @@ class AffineForm:
         try:
             return self._t_view
         except AttributeError:
-            self._t_view = _frozen(_bit_matrix([self._t], self.n)[0])
+            self._t_view = _frozen(gf2.bit_matrix([self._t], self.n)[0])
             return self._t_view
 
     @property
@@ -230,7 +206,7 @@ class AffineForm:
         try:
             return self._q_view
         except AttributeError:
-            sym = _bit_matrix(self._sym, self._m)[::-1, ::-1]
+            sym = gf2.bit_matrix(self._sym, self._m)[::-1, ::-1]
             self._q_view = QuadForm(_frozen(np.triu(sym, 1)),
                                     _param_vector(self._lin, self._m), self._q0)
             return self._q_view
@@ -243,7 +219,7 @@ class AffineForm:
         except AttributeError:
             f = None
             if self._cols is not None:
-                f = _bit_matrix(self._cols, self.n).T
+                f = gf2.bit_matrix(self._cols, self.n).T
                 f = _frozen(np.concatenate((f[:self._m][::-1], f[self._m:])))
             self._frame_view = f
             return f
@@ -377,7 +353,7 @@ def _frame_cols(s: AffineForm) -> list[int]:
         f = gf2.row_reducer(s.R)
     except ValueError:
         raise InvariantError("R does not have full column rank") from None
-    return _ints(np.concatenate((f[:s._m][::-1], f[s._m:])).T)
+    return gf2.ints(np.concatenate((f[:s._m][::-1], f[s._m:])).T)
 
 
 def apply_h(s: AffineForm, k: int) -> AffineForm:

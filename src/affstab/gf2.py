@@ -1,9 +1,11 @@
 """Dense linear algebra over GF(2).
 
 Vectors and matrices are numpy uint8 arrays with entries in {0, 1}.
-Everything here is exact: rank, affine solves, kernels, left inverses,
-and the decomposition of invertible matrices into elementary row
-additions (the operations a CNOT circuit can realize).
+``ints`` and ``bit_matrix`` convert them to and from bit rows (one
+Python int per row, column j at bit j), the format the affine form and
+every batch path compute on.  Everything here is exact: rank, affine
+solves, kernels, left inverses, and the decomposition of invertible
+matrices into elementary row additions (what a CNOT circuit realizes).
 
 All functions are pure; inputs are never mutated.  Pivoting is
 first-nonzero with lowest-index ties, so outputs are deterministic.
@@ -19,6 +21,22 @@ import numpy as np
 def bits(seq) -> np.ndarray:
     """Coerce a sequence (or array) to a uint8 array over {0, 1}."""
     return np.asarray(seq, dtype=np.uint8) % 2
+
+
+def ints(a: np.ndarray) -> list[int]:
+    """The rows of a 2-D bit array as Python ints, column j at bit j."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
+            for i in range(packed.shape[0])]
+
+
+def bit_matrix(rows: list[int], width: int) -> np.ndarray:
+    """Inverse of ``ints``: a (len(rows), width) uint8 array."""
+    nbytes = (width + 7) >> 3
+    raw = b"".join([x.to_bytes(nbytes, "little") for x in rows])
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

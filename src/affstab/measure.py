@@ -95,11 +95,20 @@ def weak_sample_many(s: AffineForm, subset, shots: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw ``shots`` independent outcomes; returns a (shots, |S|) bit array.
 
-    Each shot consumes exactly m fair bits from ``rng``.
+    Each shot consumes exactly m fair bits from ``rng``.  Bit-sliced: a
+    measured bit, over all shots, is the XOR of the parameter columns
+    its row of R selects (shot j at bit j), complemented where t is 1.
     """
     r_s, t_s = _subset(s, subset)
     us = rng.integers(0, 2, size=(shots, s.m), dtype=np.uint8)
-    return (us @ r_s.T % 2) ^ t_s
+    params, ones = gf2.ints(us.T), (1 << shots) - 1
+    rows = [ones if flip else 0 for flip in t_s]
+    for k, sel in enumerate(gf2.ints(r_s)):
+        while sel:
+            low = sel & -sel
+            rows[k] ^= params[low.bit_length() - 1]
+            sel ^= low
+    return np.ascontiguousarray(gf2.bit_matrix(rows, shots).T)
 
 
 def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, DyadicProb]]:
@@ -116,18 +125,14 @@ def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, Dy
     subset = tuple(subset)
     # Basis of the column space: independent rows of R_S^T.
     rref, pivots = gf2.row_echelon(r_s.T)
-    basis = rref[: len(pivots), :]
     rank = len(pivots)
     if 2 ** rank > cap:
         raise CapacityError(
             f"support has {2 ** rank} outcomes, which exceeds the cap {cap}")
     prob = DyadicProb.power(rank)
-    out = []
-    for code in range(2 ** rank):
-        bits = t_s.copy()
-        for i in range(rank):
-            if (code >> i) & 1:
-                bits = bits ^ basis[i]
-        out.append((Outcome(subset, tuple(int(b) for b in bits)), prob))
-    out.sort(key=lambda pair: pair[0].bits)
-    return out
+    # RREF row i is the only one set at pivot i and is 0 left of it, so
+    # an outcome's bits up to pivot i depend on codes 0..i alone, with
+    # t + code i at pivot i: counting up through t + codes sorts them.
+    ups = (np.arange(2 ** rank)[:, None] >> np.arange(rank - 1, -1, -1)) & 1
+    outs = gf2.mat_mul(ups ^ t_s[pivots], rref[:rank]) ^ t_s
+    return [(Outcome(subset, tuple(bits)), prob) for bits in outs.tolist()]

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import measure
+from . import gf2, measure
 from .affine import AffineForm
 from .circuit import (CLASSICAL_KINDS, DIAGONAL_KINDS, Circuit, Gate,
                       GateKind, expand_swap)
@@ -35,9 +35,9 @@ from .statevector import normalized_prep
 # the hard maximum of ``width_limit`` (each qubit's mask has 2^m bits).
 DEFAULT_WIDTH_LIMIT = 24
 
-# A front end draws (shots, n) bit matrices with its state's
-# full-width measurement distribution.
-FrontSampler = Callable[[int, np.random.Generator], np.ndarray]
+# A front end draws (shots, n) bit matrices with its state's full-width
+# measurement distribution; the quoted type keeps numpy.random unloaded.
+FrontSampler = Callable[[int, "np.random.Generator"], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,15 @@ class CountResult:
 
 def eval_classical_batch(f: ClassicalFunction, xs: np.ndarray) -> np.ndarray:
     """Apply the gate list to every row of a (shots, n) bit matrix."""
-    xs = xs.copy()
+    cols, ones = gf2.ints(xs.T), (1 << len(xs)) - 1
     for g in f.gates:
-        _apply_classical(xs.T, g, 1)
-    return xs
+        _apply_classical(cols, g, ones)
+    return np.ascontiguousarray(gf2.bit_matrix(cols, len(xs)).T)
 
 
-def _apply_classical(cols, g: Gate, ones) -> None:
-    # `cols` indexes qubits on its first axis and each entry holds one
-    # value per column: a row of the transposed batch (ones = 1) or a
-    # big-integer mask over all assignments (ones = the all-ones mask).
+def _apply_classical(cols: list[int], g: Gate, ones: int) -> None:
+    # One int per qubit, bit j its value in column j (a shot of the
+    # batch or an assignment of the count); ``ones`` sets every column.
     if g.kind is GateKind.X:
         cols[g.qubits[0]] ^= ones
     elif g.kind is GateKind.CNOT:
@@ -177,9 +176,8 @@ def ht_strong_count(c: Circuit, subset, alpha,
 
     Counts the Hadamard assignments whose image matches ``alpha`` on
     ``subset``; the answer is numerator / 2^m with m the Hadamard
-    count.  Each qubit's value over all 2^m assignments is held as one
-    big integer bit mask, so the sampler's gate rules apply to the
-    masks unchanged, with the all-ones mask in place of 1.
+    count.  Each qubit is one int, assignment i at bit i: the samplers'
+    bit rows with assignments for shots, run through the same rules.
 
     Raises:
         ValueError: if ``width_limit`` is negative.

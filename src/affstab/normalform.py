@@ -293,7 +293,6 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
     """
     if classify(c) is not CircuitClass.CLIFFORD_ONLY:
         raise ClassificationError("circuit is not Clifford-only")
-    n = c.n_qubits
     nf = synthesize_state_prep(run_clifford(c))
     m2 = nf.linear_layer + nf.phase_layer
 
@@ -304,14 +303,16 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
         _conjugate_rows(x, z, e, gate(GateKind.H, k))
 
     rmat = x.T
-    if gf2.rank(rmat) != n:
-        raise InvariantError("extracted ket map must be invertible")
+    try:
+        cnots = _cnot_synthesis(rmat)
+    except ValueError:
+        raise InvariantError("extracted ket map must be invertible") from None
 
     m1: list[Gate] = []
     m1 += [gate(GateKind.P, int(i)) for i in np.nonzero(e % 2)[0]]
     m1 += [gate(GateKind.Z, int(i)) for i in np.nonzero(e // 2)[0]]
     cz_pairs = np.triu(gf2.mat_mul(z, rmat), 1)  # (i, j): zpart_i . xpart_j
     m1 += [gate(GateKind.CZ, int(i), int(j)) for i, j in zip(*np.nonzero(cz_pairs))]
-    m1 += _cnot_synthesis(rmat)
+    m1 += cnots
 
     return OperatorNormalForm(tuple(m1), nf.hadamard_set, m2)

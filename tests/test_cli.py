@@ -1,11 +1,14 @@
+import hashlib
 import io
 
 import numpy as np
+import pytest
 
-from affstab import emit, parse
+from affstab import GateKind, emit, parse
 from affstab.affine import MAX_CLIFFORD_QUBITS
 from affstab.cli import run_command
-from helpers import random_clifford_circuit
+from helpers import (random_clifford_circuit, random_ht_circuit,
+                     random_product_front_circuit)
 
 GHZ = "qubits 2\nh 0\ncnot 0 1\nmeasure 0\n"
 HPH = "qubits 1\nh 0\np 0\nh 0\nmeasure 0\n"
@@ -212,6 +215,25 @@ def test_invariant_error_is_exit_3_without_traceback(tmp_path, monkeypatch):
     assert err == "internal error: update broke full column rank\n"
 
 
+def test_singular_ket_map_in_decompose_is_exit_3(tmp_path, monkeypatch):
+    # decompose synthesizes CNOTs twice: the state preparation's ket map,
+    # then the extracted one, whose singularity is an invariant failure.
+    from affstab import gf2
+    real, calls = gf2.decompose_invertible, []
+
+    def second_call_singular(e):
+        calls.append(e)
+        if len(calls) == 2:
+            raise ValueError("matrix is singular over GF(2)")
+        return real(e)
+
+    monkeypatch.setattr(gf2, "decompose_invertible", second_call_singular)
+    path = circuit_file(tmp_path, "ghz2.cq", GHZ)
+    status, out, err = run(["decompose", path])
+    assert (status, out, len(calls)) == (3, "", 2)
+    assert err == "internal error: extracted ket map must be invertible\n"
+
+
 def test_sample_out_of_memory_is_capacity(tmp_path):
     # 10^15 shots is past a 47-bit address space, so the first array
     # allocation fails at once and nothing is allocated.
@@ -261,3 +283,57 @@ def test_clifford_width_just_above_cap(tmp_path):
         status, out, err = run(argv)
         assert status == 2 and out == "", argv
         assert err.startswith("capacity exceeded:"), argv
+
+
+def golden_circuits():
+    """One circuit per class, plus a Clifford state with m = 0 and one
+    wider than a 64-bit word."""
+    rng = np.random.default_rng(88)
+    no_h = (GateKind.P, GateKind.CNOT, GateKind.X, GateKind.Z, GateKind.CZ)
+    return {
+        "clifford": random_clifford_circuit(rng, 12, 120),
+        "clifford-m0": random_clifford_circuit(rng, 10, 60, kinds=no_h),
+        "clifford-wide": random_clifford_circuit(rng, 90, 900),
+        "ht": random_ht_circuit(rng, 10, 8, 60),
+        "product-front": random_product_front_circuit(rng, 10, 60),
+    }
+
+
+# sha256 of the argv tails, exit codes and stdout of ``golden_runs``,
+# computed on the uint8 sampler and per-outcome support listing that the
+# bit-sliced sampler and the ordered listing replaced.
+GOLDEN_OUTPUTS = {
+    "clifford":
+        "223014bc27811157ada7f1bad8dccb304ba3f22d84ffec2918615e1f6fd21b19",
+    "clifford-m0":
+        "31efebe07843af2ea7f5a59138c1fdcc7bdf582fca9337af84ee74e058ac7275",
+    "clifford-wide":
+        "2b45897d100b33031d51595abce4b91a1beb69ff9cac05f52625a2e8aa6b4b8a",
+    "ht":
+        "109e88715b5b0b056c93e9de7de5d9f37803570404590cbb31b42a5f427a25c3",
+    "product-front":
+        "1521b82f408a46fec811104fde1c39bbb0e9f3ce545a63202c4507d9da69a33f",
+}
+
+
+def golden_runs(path, c):
+    everything = [str(q) for q in reversed(range(c.n_qubits))]
+    few = [str(q) for q in reversed(range(min(c.n_qubits, 10)))]
+    for shots in (0, 1, 63, 64, 65, 1000):
+        yield ["sample", path, "--shots", str(shots), "--seed", "5"]
+        yield ["sample", path, "--shots", str(shots), "--seed", "5", "--qubits", *everything]
+    yield ["prob", path]
+    yield ["prob", path, "--qubits", *few]
+    for outcome in range(8):
+        yield ["prob", path, "--qubits", *few[:3], "--outcome", f"{outcome:03b}"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_sample_and_prob_match_golden_hashes(tmp_path, name):
+    c = golden_circuits()[name]
+    path = circuit_file(tmp_path, f"{name}.cq", emit(c))
+    digest = hashlib.sha256()
+    for argv in golden_runs(path, c):
+        status, out, _ = run(argv)
+        digest.update(f"{argv[2:]} {status}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_OUTPUTS[name]

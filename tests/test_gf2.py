@@ -148,3 +148,14 @@ def test_decompose_invertible_replay_random():
         ops = gf2.decompose_invertible(e)
         assert len(ops) <= 3 * n * n
         assert np.array_equal(gf2.replay_additions(ops, n), e)
+
+
+def test_ints_and_bit_matrix_round_trip():
+    rng = np.random.default_rng(12)
+    for rows, width in ((0, 5), (3, 0), (1, 1), (4, 7), (5, 8), (6, 65), (2, 200)):
+        a = rng.integers(0, 2, (rows, width), dtype=np.uint8)
+        ints = gf2.ints(a)
+        assert ints == [sum(int(b) << j for j, b in enumerate(row)) for row in a]
+        assert np.array_equal(gf2.bit_matrix(ints, width), a)
+        # A transposed view packs its columns.
+        assert gf2.ints(a.T) == gf2.ints(np.ascontiguousarray(a.T))

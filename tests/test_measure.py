@@ -98,6 +98,9 @@ def test_enumerated_probabilities_sum_to_one_exactly():
                   rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
         table = enumerate_support(s, subset, cap=4096)
         assert sum((p.as_fraction() for _, p in table), Fraction(0)) == 1
+        outcomes = [o.bits for o, _ in table]
+        assert outcomes == sorted(set(outcomes))
+        assert all(not strong_prob(s, subset, bits).zero for bits in outcomes)
 
 
 def test_strong_prob_matches_oracle_marginals():
@@ -131,6 +134,24 @@ def test_probabilities_ignore_phases():
                 alpha = rng.integers(0, 2, len(subset), dtype=np.uint8)
                 assert strong_prob(s, subset, alpha) == \
                     strong_prob(scrambled, subset, alpha)
+
+
+@pytest.mark.parametrize("shots", [0, 1, 63, 64, 65, 1000])
+def test_weak_sample_many_matches_uint8_product(shots):
+    # The bit-sliced sampler against the mod-2 product it replaced, on
+    # the same draw: m = 0, m > 64, all qubits, and qubits reversed.
+    rng = np.random.default_rng(7)
+    states = [init_zero(3), run_clifford(parse("qubits 3\nx 1\ncnot 1 2"))]
+    for n in (5, 12, 130):
+        states.append(run_clifford(random_clifford_circuit(rng, n, 10 * n)))
+    assert states[-1].m > 64 and states[0].m == states[1].m == 0
+    for s in states:
+        for subset in (range(s.n), range(s.n - 1, -1, -1), [s.n - 1]):
+            r_s, t_s = s.R[list(subset)], s.t[list(subset)]
+            us = np.random.default_rng(shots).integers(0, 2, (shots, s.m), dtype=np.uint8)
+            got = weak_sample_many(s, subset, shots, np.random.default_rng(shots))
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            assert np.array_equal(got, (us @ r_s.T % 2) ^ t_s)
 
 
 def test_sampling_consumes_m_bits_per_shot():

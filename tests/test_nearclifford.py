@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +287,12 @@ def test_eval_classical_batch_matches_oracle():
             vec = run_statevector(Circuit(n, prep + f.gates))
             key = "".join(str(int(b)) for b in row_out)
             assert distribution(vec, range(n))[key] == pytest.approx(1.0)
+        # Batches whose shot count is not a whole number of bytes.
+        for shots in (0, 1, 7, 9, 63, 65):
+            picks = rng.integers(0, 2 ** n, shots)
+            out = eval_classical_batch(f, xs[picks])
+            assert out.dtype == np.uint8 and out.flags.c_contiguous
+            assert np.array_equal(out, batch[picks])
 
 
 def test_assignment_masks_match_division_formula():
@@ -307,3 +316,17 @@ def test_ht_strong_count_at_default_width_is_fast():
     assert time.perf_counter() - start < 10
     assert res.m == 24 and res.as_fraction() == Fraction(1, 8)
 
+
+
+def test_import_does_not_load_numpy_random():
+    # normalize, decompose and prob draw no random numbers, so the
+    # package leaves numpy.random (and what it pulls in) unloaded.
+    code = ("import sys, numpy\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "import affstab, affstab.cli\n"
+            "raise SystemExit('numpy.random' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
