@@ -26,7 +26,9 @@ indexed by bit.  The frame (below) is n ints, column c of F holding
 F[i, c] at bit m-1-i for the m parameter rows and at bit i for the
 other rows.  The attributes ``R``, ``t``, ``l``, ``q`` and ``frame``
 are numpy views, built on first read, cached and read-only; the lists
-behind them are never changed after a form is built.
+behind them are never changed after a form is built.  Measurement reads
+the rows themselves: ``subset_rows`` gives R_S as the row ints of the
+measured qubits (same bit order) and t_S as one 0/1 int per qubit.
 
 Cost per gate, in operations on ints of at most n bits (one machine
 word per 64 bits): X and Z, O(1); CNOT, O(1) plus copying the two lists
@@ -272,6 +274,13 @@ def init_zero(n: int) -> AffineForm:
 def support_size(s: AffineForm) -> int:
     """log2 of the number of basis states in the support."""
     return s._m
+
+
+def subset_rows(s: AffineForm, qubits) -> tuple[list[int], list[int]]:
+    """R_S and t_S on the bit rows: for each qubit k of ``qubits`` (Python
+    ints, checked by the caller), row k of R and the bit t_k."""
+    rows, t = s._rows, s._t
+    return [rows[k] for k in qubits], [t >> k & 1 for k in qubits]
 
 
 # ---------------------------------------------------------------------------

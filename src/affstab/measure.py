@@ -1,19 +1,23 @@
 """Weak (sampling) and strong (exact probability) measurement simulation.
 
 Computational-basis measurement of a subset S of qubits on an affine
-form.  Probabilities are exact dyadics (0 or a power of 1/2) computed
-with no floating point; sampling draws the m free parameters uniformly
-and reads the measured bits off the ket map.
+form.  Both read R_S and t_S straight off the form's bit rows
+(``affine.subset_rows``), never through the numpy ``R`` view.
+Probabilities are exact dyadics (0 or a power of 1/2) computed with no
+floating point, by one GF(2) elimination over the |S| row ints per
+query; sampling draws the m free parameters uniformly and reads the
+measured bits off the ket map, bit-sliced over the shots.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import gf2
+from . import affine, gf2
 from .affine import AffineForm
 from .errors import CapacityError
 
@@ -64,14 +68,34 @@ def format_rows(rows) -> str:
     return text.tobytes().decode("ascii")
 
 
-def _subset(s: AffineForm, subset) -> tuple[np.ndarray, np.ndarray]:
-    subset = list(subset)
-    if len(set(subset)) != len(subset):
+def _subset(n: int, subset) -> list[int]:
+    """The measured qubits as Python ints, checked distinct and in range."""
+    qubits = list(map(operator.index, subset))
+    if len(set(qubits)) != len(qubits):
         raise ValueError("measured qubits must be distinct")
-    for q in subset:
-        if not 0 <= q < s.n:
-            raise ValueError(f"qubit {q} out of range")
-    return s.R[subset, :], s.t[subset]
+    if qubits and (min(qubits) < 0 or max(qubits) >= n):
+        bad = next(q for q in qubits if not 0 <= q < n)
+        raise ValueError(f"qubit {bad} out of range")
+    return qubits
+
+
+def check_query(n: int, subset, alpha) -> tuple[list[int], list[int]]:
+    """The qubits and outcome bits of an exact-probability query.
+
+    Both exact paths (``strong_prob`` and HT counting) take their input
+    through here, so they accept and refuse the same queries.
+
+    Raises:
+        ValueError: if the qubits are not distinct and in range, or the
+        outcome is not one bit of exactly 0 or 1 per qubit.
+    """
+    qubits = _subset(n, subset)
+    bits = list(alpha)
+    if len(bits) != len(qubits):
+        raise ValueError("outcome length does not match subset size")
+    if not {0, 1}.issuperset(bits):
+        raise ValueError("outcome bits must be 0 or 1")
+    return qubits, list(map(int, bits))
 
 
 def strong_prob(s: AffineForm, subset, alpha) -> DyadicProb:
@@ -79,16 +103,28 @@ def strong_prob(s: AffineForm, subset, alpha) -> DyadicProb:
 
     Phases never enter: the count of parameter assignments hitting
     alpha is 2^(m - rank) out of 2^m, or zero if the restricted system
-    is inconsistent.
+    R_S u = alpha + t_S is inconsistent.  One elimination over the
+    form's bit rows: each row of R_S, with alpha_k + t_k appended at
+    bit 0, is reduced by the pivot rows found so far (keyed by their
+    top bit); a row that reduces to the lone appended bit is the
+    equation 0 = 1, and otherwise the pivots count the rank.
     """
-    r_s, t_s = _subset(s, subset)
-    alpha = gf2.bits(alpha)
-    if alpha.shape != (r_s.shape[0],):
-        raise ValueError("outcome length does not match subset size")
-    sol = gf2.solve_affine(r_s, alpha ^ t_s)
-    if not sol.consistent:
-        return DyadicProb.impossible()
-    return DyadicProb.power(r_s.shape[1] - sol.kernel_basis.shape[0])
+    qubits, bits = check_query(s.n, subset, alpha)
+    rows, t_s = affine.subset_rows(s, qubits)
+    pivots: dict[int, int] = {}
+    for row, tk, a in zip(rows, t_s, bits):
+        x = row << 1 | (a ^ tk)
+        while x > 1:
+            top = x.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = x
+                break
+            x ^= pivot
+        else:
+            if x:
+                return DyadicProb.impossible()
+    return DyadicProb.power(len(pivots))
 
 
 def weak_sample_many(s: AffineForm, subset, shots: int,
@@ -99,16 +135,17 @@ def weak_sample_many(s: AffineForm, subset, shots: int,
     measured bit, over all shots, is the XOR of the parameter columns
     its row of R selects (shot j at bit j), complemented where t is 1.
     """
-    r_s, t_s = _subset(s, subset)
+    rows, t_s = affine.subset_rows(s, _subset(s.n, subset))
     us = rng.integers(0, 2, size=(shots, s.m), dtype=np.uint8)
-    params, ones = gf2.ints(us.T), (1 << shots) - 1
-    rows = [ones if flip else 0 for flip in t_s]
-    for k, sel in enumerate(gf2.ints(r_s)):
+    # A row keeps parameter i at bit m-1-i: reversed, bit b reads params[b].
+    params, ones = gf2.ints(us.T)[::-1], (1 << shots) - 1
+    out = [ones if flip else 0 for flip in t_s]
+    for k, sel in enumerate(rows):
         while sel:
             low = sel & -sel
-            rows[k] ^= params[low.bit_length() - 1]
+            out[k] ^= params[low.bit_length() - 1]
             sel ^= low
-    return np.ascontiguousarray(gf2.bit_matrix(rows, shots).T)
+    return np.ascontiguousarray(gf2.bit_matrix(out, shots).T)
 
 
 def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, DyadicProb]]:
@@ -121,8 +158,9 @@ def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, Dy
     Raises:
         CapacityError: if the support exceeds ``cap`` outcomes.
     """
-    r_s, t_s = _subset(s, subset)
-    subset = tuple(subset)
+    subset = tuple(_subset(s.n, subset))
+    rows, t_s = affine.subset_rows(s, subset)
+    r_s, t_s = gf2.bit_matrix(rows, s.m)[:, ::-1], np.array(t_s, dtype=np.uint8)
     # Basis of the column space: independent rows of R_S^T.
     rref, pivots = gf2.row_echelon(r_s.T)
     rank = len(pivots)

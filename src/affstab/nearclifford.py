@@ -180,7 +180,8 @@ def ht_strong_count(c: Circuit, subset, alpha,
     bit rows with assignments for shots, run through the same rules.
 
     Raises:
-        ValueError: if ``width_limit`` is negative.
+        ValueError: if ``width_limit`` is negative, or the query fails
+        ``measure.check_query`` (checked before any mask is built).
         CapacityError: if ``width_limit`` exceeds DEFAULT_WIDTH_LIMIT
         (it may only lower the cap), or m exceeds ``width_limit``;
         exact probabilities for wide Hadamard layers are #P-hard, so
@@ -193,6 +194,7 @@ def ht_strong_count(c: Circuit, subset, alpha,
             f"width limit {width_limit} is above the maximum "
             f"{DEFAULT_WIDTH_LIMIT}")
     positions, f = _split_ht(c)
+    subset, alpha = measure.check_query(c.n_qubits, subset, alpha)
     m = len(positions)
     if m > width_limit:
         raise CapacityError(
@@ -205,10 +207,6 @@ def ht_strong_count(c: Circuit, subset, alpha,
     for g in f.gates:
         _apply_classical(values, g, full)
     match = full
-    subset = list(subset)
-    alpha = [int(b) for b in alpha]
-    if len(alpha) != len(subset):
-        raise ValueError("outcome length does not match subset size")
     for q, bit in zip(subset, alpha):
         match &= values[q] if bit else values[q] ^ full
     return CountResult(match.bit_count(), m)

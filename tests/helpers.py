@@ -15,6 +15,15 @@ DIAGONAL = (GateKind.P, GateKind.PDG, GateKind.Z, GateKind.CZ,
             GateKind.ZROT, GateKind.CZROT)
 
 
+# A file that is both Clifford and HT, and queries that both exact
+# routes (strong_prob and ht_strong_count) must refuse: an outcome bit
+# that is not 0/1, a negative, repeated or out-of-range qubit, and an
+# outcome of the wrong length.
+BELL_X = "qubits 2\nh 0\ncnot 0 1\nx 1"
+BAD_QUERIES = [([0, 1], [2, 1]), ([0], [-1]), ([-1], [1]), ([2, 2], [1, 0]),
+               ([7], [1]), ([0, 1], [1]), ([0], [0, 1]), ([0], [0.5])]
+
+
 def random_gate(rng: np.random.Generator, n: int, kinds) -> Gate:
     """One random gate of an eligible kind (arity must fit n)."""
     eligible = [k for k in kinds

@@ -1,5 +1,8 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -263,6 +266,20 @@ def test_verify_accepts_limit(tmp_path):
     assert status == 0 and "verdict: PASS" in out
     status, _, err = run(["verify", path, "--limit", "1"])
     assert status == 2 and "capacity" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # ``python -m affstab`` from a checkout: the same stdout, stderr and
+    # exit code as run_command, for a good and a bad --outcome.
+    path = circuit_file(tmp_path, "ghz2.cq", GHZ)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                   os.pardir, "src"))
+    for argv, want in ((["prob", path, "--qubits", "0", "1", "--outcome", "11"], 0),
+                       (["prob", path, "--outcome", "2"], 1)):
+        done = subprocess.run([sys.executable, "-m", "affstab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == run(argv)
+        assert done.returncode == want
 
 
 def wide_clifford(tmp_path, n):

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affstab import (CapacityError, apply_h, enumerate_support, init_zero,
+from affstab import (CapacityError, apply_h, enumerate_support, gf2, init_zero,
                      parse, run_clifford, strong_prob, weak_sample_many)
 from affstab.affine import AffineForm, LinForm, QuadForm
 from affstab.measure import DyadicProb, Outcome, format_rows
 from affstab.statevector import distribution, run_statevector
-from helpers import all_subsets, random_clifford_circuit
+from helpers import BAD_QUERIES, BELL_X, all_subsets, random_clifford_circuit
 
 
 def ghz():
@@ -161,3 +163,97 @@ def test_sampling_consumes_m_bits_per_shot():
     a = weak_sample_many(s, [0, 1], 10, np.random.default_rng(42))
     b = weak_sample_many(s, [0, 1], 10, np.random.default_rng(42))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("subset, alpha", BAD_QUERIES)
+def test_strong_prob_rejects_bad_queries(subset, alpha):
+    s = run_clifford(parse(BELL_X))
+    with pytest.raises(ValueError):
+        strong_prob(s, subset, alpha)
+
+
+def wide_form() -> AffineForm:
+    """A Clifford form on n = 90 qubits with m > 64 parameters."""
+    s = run_clifford(random_clifford_circuit(np.random.default_rng(34), 90, 900))
+    assert s.m > 64
+    return s
+
+
+def test_numpy_indices_past_63_match_int_indices():
+    # np.int64 qubits past bit 63 of t and of the row list: a shift by
+    # a numpy index would overflow or wrap.
+    rng = np.random.default_rng(34)
+    s = wide_form()
+    wide, narrow = np.arange(60, 90), np.arange(80, 90)
+    x = weak_sample_many(s, range(s.n), 1, rng)[0]
+    for alpha in (x[60:], rng.integers(0, 2, 30, dtype=np.uint8)):
+        assert strong_prob(s, wide, alpha) == strong_prob(s, list(map(int, wide)), alpha)
+    assert str(strong_prob(s, wide, x[60:])) != "0"
+    for shots in (1, 100):
+        assert np.array_equal(
+            weak_sample_many(s, wide, shots, np.random.default_rng(shots)),
+            weak_sample_many(s, list(map(int, wide)), shots, np.random.default_rng(shots)))
+    assert (enumerate_support(s, narrow, 4096)
+            == enumerate_support(s, list(map(int, narrow)), 4096))
+
+
+def reference_prob(s: AffineForm, subset, alpha) -> str:
+    """The route strong_prob replaced: an RREF of [R_S | alpha + t_S]."""
+    subset = list(subset)
+    sol = gf2.solve_affine(s.R[subset], gf2.bits(alpha) ^ s.t[subset])
+    if not sol.consistent:
+        return str(DyadicProb.impossible())
+    return str(DyadicProb.power(s.m - sol.kernel_basis.shape[0]))
+
+
+def hand_built(rng: np.random.Generator, n: int, m: int) -> AffineForm:
+    """A form from the constructor, so with no frame: R is the first m
+    columns of a random invertible matrix."""
+    ops = [tuple(int(q) for q in rng.choice(n, 2, replace=False))
+           for _ in range(3 * n)] if n > 1 else []
+    r = gf2.replay_additions(ops, n)[:, :m]
+    return AffineForm(n, r, rng.integers(0, 2, n, dtype=np.uint8), LinForm.zero(m),
+                      QuadForm.zero(m))
+
+
+def check_against_reference(s: AffineForm, subset, rng: np.random.Generator) -> None:
+    subset = list(subset)
+    sampled = weak_sample_many(s, subset, 2, rng)
+    uniform = rng.integers(0, 2, (2, len(subset)), dtype=np.uint8)
+    for alpha in (*sampled, *uniform):
+        assert str(strong_prob(s, subset, alpha)) == reference_prob(s, subset, alpha)
+    for alpha in sampled:
+        assert str(strong_prob(s, subset, alpha)) != "0"
+
+
+@st.composite
+def queried_forms(draw):
+    """A random form (n <= 12) and a subset, empty and full included."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        s = run_clifford(random_clifford_circuit(rng, n, draw(st.integers(0, 10 * n))))
+    else:
+        s = hand_built(rng, n, draw(st.integers(0, n)))
+    size = draw(st.sampled_from([0, n, draw(st.integers(0, n))]))
+    subset = draw(st.permutations(range(n)))[:size]
+    return s, subset, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(queried_forms())
+def test_strong_prob_matches_rref_reference(case):
+    s, subset, rng = case
+    check_against_reference(s, subset, rng)
+
+
+def test_strong_prob_matches_rref_reference_on_fixed_forms():
+    # m = 0, a form with no frame, and one wider than a 64-bit word.
+    rng = np.random.default_rng(35)
+    forms = [init_zero(5), run_clifford(parse("qubits 3\nx 1\ncnot 1 2")),
+             hand_built(rng, 8, 5), hand_built(rng, 6, 0), wide_form()]
+    for s in forms:
+        for subset in ([], range(s.n), range(s.n - 1, -1, -1),
+                       rng.permutation(s.n)[:s.n // 2]):
+            check_against_reference(s, subset, rng)

@@ -15,8 +15,8 @@ from affstab.nearclifford import (ClassicalFunction, affine_form_front,
                                   product_front_batch,
                                   sample_through_classical)
 from affstab.statevector import distribution, run_statevector, total_variation
-from helpers import (CLASSICAL, random_gate, random_ht_circuit,
-                     random_product_front_circuit)
+from helpers import (BAD_QUERIES, BELL_X, CLASSICAL, random_gate,
+                     random_ht_circuit, random_product_front_circuit)
 
 
 def test_eval_classical_examples():
@@ -105,6 +105,29 @@ def test_ht_strong_count_rejects_wide_layers():
     with pytest.raises(ValueError):
         ht_strong_count(parse("qubits 2\nh 0\ncnot 0 1"), [1], [1],
                         width_limit=-1)
+
+
+@pytest.mark.parametrize("subset, alpha", BAD_QUERIES)
+def test_ht_strong_count_rejects_bad_queries(subset, alpha):
+    # The same queries strong_prob refuses, on the same file.
+    with pytest.raises(ValueError):
+        ht_strong_count(parse(BELL_X), subset, alpha)
+
+
+def test_ht_strong_count_checks_query_before_counting(monkeypatch):
+    import affstab.nearclifford as nc
+    c = parse("qubits 3\nh 0\nh 1\ntoffoli 0 1 2\nmeasure 2")
+    # A negative qubit once indexed from the end: qubit 2 here.
+    with pytest.raises(ValueError):
+        ht_strong_count(c, [-1], [1])
+
+    def no_masks(*args):
+        raise AssertionError("mask built before the query was checked")
+
+    monkeypatch.setattr(nc, "_assignment_mask", no_masks)
+    for subset, alpha in ([2], [1, 0]), ([2, 2], [1, 0]), ([3], [1]), ([2], [2]):
+        with pytest.raises(ValueError):
+            ht_strong_count(c, subset, alpha)
 
 
 def test_ht_strong_count_rejects_non_ht():
