@@ -28,7 +28,8 @@ other rows.  The attributes ``R``, ``t``, ``l``, ``q`` and ``frame``
 are numpy views, built on first read, cached and read-only; the lists
 behind them are never changed after a form is built.  Measurement reads
 the rows themselves: ``subset_rows`` gives R_S as the row ints of the
-measured qubits (same bit order) and t_S as one 0/1 int per qubit.
+measured qubits (same bit order) and t_S as one 0/1 int per qubit;
+the normal forms read all of them through ``bit_rows``.
 
 Cost per gate, in operations on ints of at most n bits (one machine
 word per 64 bits): X and Z, O(1); CNOT, O(1) plus copying the two lists
@@ -45,7 +46,8 @@ leaves unchanged.
 Full column rank of R is checked where it costs nothing extra: each
 rank-deficient Hadamard checks R u = e_k in row k, a hand-built form
 gets its frame from an elimination that checks the rank, and
-``run_clifford`` checks gf2.rank(R) == m once at the end.  All checks
+``run_clifford`` checks once at the end, with one elimination over the
+row ints, that all m columns are independent.  All checks
 raise ``errors.InvariantError``, so they hold under ``python -O``.
 """
 
@@ -245,10 +247,12 @@ def _make(n: int, m: int, rows: list[int], t: int, l: int, l0: int,
     return s
 
 
-# The Clifford width cap, sized from a memory budget: ``normalize`` and
-# ``decompose`` hold about six dense n x n uint8 arrays at their peak
-# (measured +95 MB at n = 4000), and 6 * 4096^2 bytes is 96 MiB.  The
-# bit rows alone would allow more (the frame takes n^2/8 bytes).
+# The Clifford width cap.  It was sized for the dense n x n uint8 arrays
+# the normal forms once held; every Clifford path now keeps n x n bits as
+# n Python ints (the frame, the generator stack, the eliminations), about
+# n^2/8 bytes each, so the cap is kept for time, not memory: the
+# eliminations of ``normalize`` and ``decompose`` are O(n^2) interpreted
+# row steps (ROADMAP item 9 has the times at n = 2000 and 4000).
 MAX_CLIFFORD_QUBITS = 4096
 
 
@@ -274,6 +278,13 @@ def init_zero(n: int) -> AffineForm:
 def support_size(s: AffineForm) -> int:
     """log2 of the number of basis states in the support."""
     return s._m
+
+
+def bit_rows(s: AffineForm) -> tuple[list[int], int, int, int, list[int], int]:
+    """(R, t, l, l0, B, lin): the form's stored bit rows and ints, in the
+    bit order of the module docstring (q's constant is left out).  The
+    lists are the form's own; callers must not change them."""
+    return s._rows, s._t, s._l, s._l0, s._sym, s._lin
 
 
 def subset_rows(s: AffineForm, qubits) -> tuple[list[int], list[int]]:
@@ -563,7 +574,7 @@ def run_clifford(c: Circuit) -> AffineForm:
     s = init_zero(c.n_qubits)
     for g in c.gates:
         s = apply_gate(s, g)
-    if gf2.rank(s.R) != s._m:
+    if len(gf2.independent_rows(s._rows)) != s._m:
         raise InvariantError("update broke full column rank")
     return s
 

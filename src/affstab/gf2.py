@@ -1,14 +1,22 @@
-"""Dense linear algebra over GF(2).
+"""Linear algebra over GF(2).
 
-Vectors and matrices are numpy uint8 arrays with entries in {0, 1}.
-``ints`` and ``bit_matrix`` convert them to and from bit rows (one
-Python int per row, column j at bit j), the format the affine form and
-every batch path compute on.  Everything here is exact: rank, affine
-solves, kernels, left inverses, and the decomposition of invertible
-matrices into elementary row additions (what a CNOT circuit realizes).
+The eliminations run on bit rows: one Python int per row, column j at
+bit j, the format the affine form, the normal forms and every batch
+path compute on.  ``rref_rows`` (reduced row-echelon form),
+``independent_rows``, ``reducer_rows`` (an invertible E with
+E m = [I; 0]) and ``decompose_rows`` (an invertible matrix as
+elementary row additions, what a CNOT circuit realizes) are the one
+implementation of each elimination, a few word operations per row
+step.
 
-All functions are pure; inputs are never mutated.  Pivoting is
-first-nonzero with lowest-index ties, so outputs are deterministic.
+The numpy functions take and return uint8 arrays with entries in
+{0, 1}; ``ints`` and ``bit_matrix`` convert to and from bit rows, and
+the eliminations among them (rank, affine solves, kernels, row
+reducers, left inverses, decompositions) convert and call the int-row
+core.  Everything here is exact.
+
+All functions are pure; inputs are never mutated.  Pivots are the
+lowest-index columns and rows, so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -50,8 +58,114 @@ def dot(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_and(a, b).sum() % 2)
 
 
+def rref_rows(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form of int rows (column j at bit j).
+
+    Each row is reduced against the pivot rows found so far, keyed by
+    their lowest set bit, and kept if anything is left; one pass of back
+    substitution then clears every pivot column above its pivot.  The
+    reduced form of a matrix is unique, so this equals column-by-column
+    Gauss-Jordan with lowest-index pivots.
+
+    Returns:
+        (rref, pivot_cols): the nonzero rows of the reduced form, in
+        pivot order, and their pivot columns (ascending; the count is
+        the rank).
+    """
+    pivots: dict[int, int] = {}   # lowest bit -> row with that lowest bit
+    mask = 0
+    for x in rows:
+        hit = x & mask
+        while hit:
+            x ^= pivots[hit & -hit]
+            hit = x & mask
+        if x:
+            low = x & -x
+            pivots[low] = x
+            mask |= low
+    keys = sorted(pivots)
+    for low in reversed(keys):
+        x = pivots[low]
+        hit = x & mask & ~low
+        while hit:
+            # Pivot rows above this one are already reduced, so each
+            # XOR clears one pivot column and sets no other.
+            high = hit & -hit
+            x ^= pivots[high]
+            hit ^= high
+        pivots[low] = x
+    return [pivots[low] for low in keys], [low.bit_length() - 1 for low in keys]
+
+
+def independent_rows(rows: list[int]) -> list[int]:
+    """Indices of the int rows that are independent of the rows before
+    them (the pivot columns of the transpose's reduced form)."""
+    pivots: dict[int, int] = {}
+    mask = 0
+    out = []
+    for i, x in enumerate(rows):
+        hit = x & mask
+        while hit:
+            x ^= pivots[hit & -hit]
+            hit = x & mask
+        if x:
+            low = x & -x
+            pivots[low] = x
+            mask |= low
+            out.append(i)
+    return out
+
+
+def reducer_rows(rows: list[int], width: int) -> list[int]:
+    """``row_reducer`` on int rows: the rows (column j at bit j) of the
+    invertible E with E m = [I; 0], for the len(rows) x width matrix m.
+
+    E is read off the reduced form of [m | I].
+
+    Raises:
+        ValueError: if m is column-rank deficient.
+    """
+    rref, pivots = rref_rows([x | 1 << (width + i) for i, x in enumerate(rows)])
+    if pivots[:width] != list(range(width)):
+        raise ValueError("matrix is column-rank deficient; no left inverse")
+    return [x >> width for x in rref]
+
+
+def decompose_rows(rows: list[int]) -> list[tuple[int, int]]:
+    """``decompose_invertible`` on the int rows of an n x n matrix.
+
+    Column by column, the first row at or below the diagonal that has
+    the column's bit becomes the pivot (swapped up by three additions),
+    then every other row with that bit adds it, in ascending order.
+
+    Raises:
+        ValueError: if the matrix is singular.
+    """
+    work = list(rows)
+    n = len(work)
+    ops: list[tuple[int, int]] = []
+    for col in range(n):
+        bit = 1 << col
+        for pivot in range(col, n):
+            if work[pivot] & bit:
+                break
+        else:
+            raise ValueError("matrix is singular over GF(2)")
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            ops += ((col, pivot), (pivot, col), (col, pivot))
+        x = work[col]
+        for row in range(n):
+            if work[row] & bit and row != col:
+                work[row] ^= x
+                ops.append((row, col))
+    # work is now the identity: e = (recorded ops applied in reverse).
+    ops.reverse()
+    return ops
+
+
 def row_echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(2).
+    """Reduced row-echelon form over GF(2) (``rref_rows`` on the rows).
 
     Args:
         m: Binary matrix (rows x cols).
@@ -60,26 +174,10 @@ def row_echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         (rref, pivot_cols): the reduced matrix and the list of pivot
         column indices (its length is the GF(2) rank).
     """
-    r = bits(m).copy()
-    n_rows, n_cols = r.shape
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        if row == n_rows:
-            break
-        hits = np.nonzero(r[row:, col])[0]
-        if hits.size == 0:
-            continue
-        pivot = row + int(hits[0])
-        if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
-        # Eliminate everywhere else in this column (full reduction).
-        others = r[:, col].astype(bool)
-        others[row] = False
-        r[others] ^= r[row]
-        pivot_cols.append(col)
-        row += 1
-    return r, pivot_cols
+    m = bits(m)
+    n_rows, n_cols = m.shape
+    rref, pivots = rref_rows(ints(m))
+    return bit_matrix(rref + [0] * (n_rows - len(rref)), n_cols), pivots
 
 
 def rank(m: np.ndarray) -> int:
@@ -172,12 +270,7 @@ def row_reducer(m: np.ndarray) -> np.ndarray:
         ValueError: if m is column-rank deficient.
     """
     m = bits(m)
-    n_rows, n_cols = m.shape
-    aug = np.concatenate([m, np.eye(n_rows, dtype=np.uint8)], axis=1)
-    rref, pivots = row_echelon(aug)
-    if pivots[:n_cols] != list(range(n_cols)):
-        raise ValueError("matrix is column-rank deficient; no left inverse")
-    return np.ascontiguousarray(rref[:, n_cols:])
+    return bit_matrix(reducer_rows(ints(m), m.shape[1]), m.shape[0])
 
 
 def left_inverse(m: np.ndarray) -> np.ndarray:
@@ -190,7 +283,7 @@ def left_inverse(m: np.ndarray) -> np.ndarray:
         ValueError: if m is column-rank deficient.
     """
     m = bits(m)
-    return row_reducer(m)[:m.shape[1]].copy()
+    return bit_matrix(reducer_rows(ints(m), m.shape[1])[:m.shape[1]], m.shape[0])
 
 
 def decompose_invertible(e: np.ndarray) -> list[tuple[int, int]]:
@@ -198,36 +291,16 @@ def decompose_invertible(e: np.ndarray) -> list[tuple[int, int]]:
 
     Returns a list of (target, source) pairs such that applying
     ``row[target] ^= row[source]`` to the identity, in order,
-    reproduces ``e``.  Row swaps are emulated by three additions.
+    reproduces ``e``.  Row swaps are emulated by three additions
+    (``decompose_rows`` on the rows).
 
     Raises:
         ValueError: if e is not square or singular.
     """
     e = bits(e)
-    n_rows, n_cols = e.shape
-    if n_rows != n_cols:
+    if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValueError("matrix is not square")
-    work = e.copy()
-    ops: list[tuple[int, int]] = []
-
-    def add(target: int, source: int) -> None:
-        work[target] ^= work[source]
-        ops.append((target, source))
-
-    for col in range(n_cols):
-        hits = np.nonzero(work[col:, col])[0]
-        if hits.size == 0:
-            raise ValueError("matrix is singular over GF(2)")
-        pivot = col + int(hits[0])
-        if pivot != col:
-            add(col, pivot)
-            add(pivot, col)
-            add(col, pivot)
-        for row in np.nonzero(work[:, col])[0]:
-            if row != col:
-                add(int(row), col)
-    # work is now the identity: e = (recorded ops applied in reverse).
-    return ops[::-1]
+    return decompose_rows(ints(e))
 
 
 def replay_additions(ops: list[tuple[int, int]], n: int) -> np.ndarray:

@@ -11,11 +11,14 @@ Hadamards.  The lift conjugates the X generators through C and reads
 the required phase and routing layers off the resulting Pauli terms.
 
 Signed Pauli terms i^e * X(x) * Z(z) are conjugated through gates as a
-stack: the x and z parts of all rows are bit matrices and e is a
-vector of i-exponents, and each gate updates a few columns of every
-row at once (the tableau update of Aaronson and Gottesman,
-quant-ph/0406196).  ``_conjugate_rows`` holds the only copy of the
-per-gate rules.
+bit-sliced stack (the tableau update of Aaronson and Gottesman,
+quant-ph/0406196, laid out as in Gidney's Stim): the x and z parts are
+one Python int per qubit column, bit i holding row i, and the
+i-exponents e = lo + 2 hi are two ints over the rows.  Each gate is one
+or two XORs, ANDs or swaps of whole columns.  ``_PauliStack.apply``
+holds the only copy of the per-gate rules.  Both normal forms compute
+on bit rows from start to finish; numpy appears only in ``PauliTerm``
+and ``conjugated_generators``, which return arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .affine import AffineForm, LinForm, check_clifford_width, run_clifford
+from .affine import AffineForm, bit_rows, check_clifford_width, run_clifford
 from .circuit import Circuit, CircuitClass, Gate, GateKind, basic_clifford_gates, classify, gate
 from .errors import ClassificationError, InvariantError
 
@@ -101,67 +104,95 @@ class PauliTerm:
         return out
 
 
-def _conjugate_rows(x: np.ndarray, z: np.ndarray, e: np.ndarray, g: Gate) -> None:
-    """Map every row i^e * X(x) * Z(z) of a stack to g row g^dagger, in place.
+def _set_bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    x and z are (k, n) uint8 bit matrices, e the (k,) uint8 i-exponents
-    mod 4.  Each rule updates a few columns of all k rows at once; the
-    sign terms come from reordering each image back to X-before-Z form.
+
+class _PauliStack:
+    """Rows i^e * X(x) * Z(z), bit-sliced over the rows.
+
+    ``x[a]`` and ``z[a]`` hold qubit a's x and z bits of every row (row
+    i at bit i); the i-exponents mod 4 are e = lo + 2 hi, row i at bit i
+    of ``lo`` and ``hi``.
     """
-    kind, qs = g.kind, g.qubits
-    a = qs[0]
-    if kind is GateKind.H:
-        e += 2 * (x[:, a] & z[:, a])
-        x[:, [a]], z[:, [a]] = z[:, [a]], x[:, [a]]
-    elif kind is GateKind.P:
-        e += x[:, a]
-        z[:, a] ^= x[:, a]
-    elif kind is GateKind.X:
-        e += 2 * z[:, a]
-    elif kind is GateKind.Z:
-        e += 2 * x[:, a]
-    elif kind is GateKind.CNOT:
-        c, t = qs
-        x[:, t] ^= x[:, c]
-        z[:, c] ^= z[:, t]
-    elif kind is GateKind.CZ:
-        b = qs[1]
-        e += 2 * (x[:, a] & x[:, b])
-        z[:, a] ^= x[:, b]
-        z[:, b] ^= x[:, a]
-    else:
-        raise ValueError(f"cannot conjugate through {kind.value}")
-    e %= 4
+
+    __slots__ = ("x", "z", "lo", "hi")
+
+    def __init__(self, x: list[int], z: list[int], lo: int, hi: int):
+        self.x, self.z, self.lo, self.hi = x, z, lo, hi
+
+    def apply(self, kind: GateKind, qs: tuple[int, ...]) -> None:
+        """Map every row to g row g^dagger, for the gate g = kind(qs).
+
+        The sign terms come from reordering each image back to
+        X-before-Z form.
+        """
+        x, z = self.x, self.z
+        a = qs[0]
+        if kind is GateKind.H:
+            self.hi ^= x[a] & z[a]
+            x[a], z[a] = z[a], x[a]
+        elif kind is GateKind.P:
+            # e += x_a: the carry out of lo goes to hi.
+            xa = x[a]
+            self.hi ^= self.lo & xa
+            self.lo ^= xa
+            z[a] ^= xa
+        elif kind is GateKind.X:
+            self.hi ^= z[a]
+        elif kind is GateKind.Z:
+            self.hi ^= x[a]
+        elif kind is GateKind.CNOT:
+            t = qs[1]
+            x[t] ^= x[a]
+            z[a] ^= z[t]
+        elif kind is GateKind.CZ:
+            b = qs[1]
+            self.hi ^= x[a] & x[b]
+            z[a] ^= x[b]
+            z[b] ^= x[a]
+        else:
+            raise ValueError(f"cannot conjugate through {kind.value}")
 
 
 def conjugate_pauli(p: PauliTerm, g: Gate) -> PauliTerm:
     """g p g^dagger, exact sign included."""
-    x, z = p.xpart[None, :].copy(), p.zpart[None, :].copy()
-    e = np.array([p.phase_exp], dtype=np.uint8)
-    _conjugate_rows(x, z, e, g)
-    return PauliTerm.make(p.n, int(e[0]), x[0], z[0])
+    st = _PauliStack([int(b) for b in p.xpart], [int(b) for b in p.zpart],
+                     p.v_sign, p.u_sign)
+    st.apply(g.kind, g.qubits)
+    return PauliTerm.make(p.n, st.lo + 2 * st.hi, st.x, st.z)
 
 
-def _generator_stack(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows sigma_i = C X_i C^dagger of a Clifford circuit, as (x, z, e)."""
+def _generator_stack(c: Circuit) -> _PauliStack:
+    """Rows sigma_i = C X_i C^dagger of a Clifford circuit."""
     n = c.n_qubits
     check_clifford_width(n)
-    x, z = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
-    e = np.zeros(n, dtype=np.uint8)
+    st = _PauliStack([1 << a for a in range(n)], [0] * n, 0, 0)
     for g in basic_clifford_gates(c.gates):
-        _conjugate_rows(x, z, e, g)
-    if ((e + (x & z).sum(axis=1)) % 2).any():
+        st.apply(g.kind, g.qubits)
+    # Row i squares to +I iff e_i + x_i.z_i is even.
+    odd = st.lo
+    for xa, za in zip(st.x, st.z):
+        odd ^= xa & za
+    if odd:
         raise InvariantError("conjugate of X_i must square to +I")
-    return x, z, e
+    return st
 
 
 def conjugated_generators(c: Circuit) -> list[PauliTerm]:
     """sigma_i = C X_i C^dagger for each qubit i, folded gate by gate."""
     if classify(c) is not CircuitClass.CLIFFORD_ONLY:
         raise ClassificationError("circuit is not Clifford-only")
-    x, z, e = _generator_stack(c)
-    return [PauliTerm.make(c.n_qubits, int(e[i]), x[i], z[i])
-            for i in range(c.n_qubits)]
+    n = c.n_qubits
+    st = _generator_stack(c)
+    x, z = gf2.bit_matrix(st.x, n).T, gf2.bit_matrix(st.z, n).T
+    e = gf2.bit_matrix([st.lo, st.hi], n)
+    return [PauliTerm.make(n, int(e[0, i]) + 2 * int(e[1, i]), x[i], z[i])
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,45 +213,54 @@ class NormalFormState:
                        None, measured)
 
 
-def _complete_to_invertible(r: np.ndarray) -> np.ndarray:
-    """Extend the full-column-rank matrix r to an invertible square one.
+def _complete_to_invertible(r: list[int], m: int) -> list[int]:
+    """Extend the full-column-rank n x m matrix r (int rows, column j at
+    bit j) to an invertible square one.
 
-    Standard basis vectors for the rows that carry no pivot of r are
-    appended (ascending); the result's first columns are r itself.
+    Standard basis vectors for the rows that carry no pivot of r^T (the
+    rows of r dependent on the rows before them) are appended
+    (ascending); the result's first columns are r itself.
     """
-    n = r.shape[0]
-    pivot_rows = set(gf2.row_echelon(r.T)[1])
-    extra = [j for j in range(n) if j not in pivot_rows]
-    cols = [r] + [np.eye(n, dtype=np.uint8)[:, [j]] for j in extra]
-    e = np.concatenate(cols, axis=1)
-    if e.shape != (n, n):
+    pivot_rows = set(gf2.independent_rows(r))
+    if len(pivot_rows) != m:
         raise InvariantError("r must have full column rank")
+    e, col = list(r), m
+    for j in range(len(r)):
+        if j not in pivot_rows:
+            e[j] |= 1 << col
+            col += 1
     return e
 
 
-def _cnot_synthesis(e: np.ndarray) -> list[Gate]:
-    """CNOT gates realizing the ket map |z> -> |e z|."""
+def _cnot_synthesis(e: list[int]) -> list[Gate]:
+    """CNOT gates realizing the ket map |z> -> |e z>, e given by its int rows."""
     return [gate(GateKind.CNOT, src, tgt)
-            for tgt, src in gf2.decompose_invertible(e)]
+            for tgt, src in gf2.decompose_rows(e)]
 
 
-def _diagonal_gates(lin_i: LinForm, quad: "np.ndarray", lin_z: np.ndarray) -> list[Gate]:
-    """P/CZ/Z gates imprinting i^(lin_i(x)) * (-1)^(x.quad.x + lin_z.x).
+def _diagonal_gates(d: int, cross: list[int], lin_z: int) -> list[Gate]:
+    """P/CZ/Z gates imprinting i^(d.x) * (-1)^(x.cross.x + lin_z.x).
 
-    ``lin_i`` must have zero constant.  P gates accumulate integer i
-    exponents, so CZ corrections cancel the (-1) carries between pairs
-    of P'd qubits: i^a i^b = (-1)^(ab) i^(a XOR b).
+    ``cross`` holds one int row per qubit; only its bits above the
+    diagonal are read.  P gates accumulate integer i exponents, so CZ
+    corrections cancel the (-1) carries between pairs of P'd qubits:
+    i^a i^b = (-1)^(ab) i^(a XOR b).
     """
-    if lin_i.const:
-        raise InvariantError("lin_i must have zero constant")
-    d = lin_i.coeffs
-    carries = np.triu(np.outer(d, d), 1)
-    cz_pairs = quad ^ carries
-    gates = [gate(GateKind.P, int(k)) for k in np.nonzero(d)[0]]
-    for i, j in zip(*np.nonzero(cz_pairs)):
-        gates.append(gate(GateKind.CZ, int(i), int(j)))
-    gates += [gate(GateKind.Z, int(k)) for k in np.nonzero(lin_z)[0]]
+    gates = [gate(GateKind.P, k) for k in _set_bits(d)]
+    for i, row in enumerate(cross):
+        if d >> i & 1:
+            row ^= d
+        gates += [gate(GateKind.CZ, i, j) for j in _set_bits(row >> (i + 1) << (i + 1))]
+    gates += [gate(GateKind.Z, k) for k in _set_bits(lin_z)]
     return gates
+
+
+def _param_order(rows: list[int], m: int) -> list[int]:
+    """R's rows with parameter i moved from bit m-1-i (the affine form's
+    order) to bit i."""
+    if not m:
+        return list(rows)
+    return [int(f"{x:0{m}b}"[::-1], 2) for x in rows]
 
 
 def synthesize_state_prep(s: AffineForm) -> NormalFormState:
@@ -231,24 +271,50 @@ def synthesize_state_prep(s: AffineForm) -> NormalFormState:
     applies X for the shift t; round 3 re-expresses the phase
     functions over the ket bits (valid on the support, via a left
     inverse of R) and emits P/CZ/Z gates.
+
+    Everything runs on the form's bit rows.  With K the left inverse,
+    u = K (x + t) on the support, so l and q become functions of the
+    ket bits x: l(K x + shift) and q(K x + shift), shift = K t.
     """
     n, m = s.n, s.m
     hadamards = tuple(range(m))
+    rows, t, l, l0, sym, lin = bit_rows(s)
+    r = _param_order(rows, m)
 
-    e = _complete_to_invertible(s.R)
-    linear = _cnot_synthesis(e)
-    linear += [gate(GateKind.X, k) for k in np.nonzero(s.t)[0]]
+    linear = _cnot_synthesis(_complete_to_invertible(r, m))
+    linear += [gate(GateKind.X, k) for k in _set_bits(t)]
 
-    left = gf2.left_inverse(s.R)          # u = left (x + t) on the support
-    shift = gf2.mat_mul(left, s.t)
-    lin_i = s.l.compose(left, shift)
-    quad = s.q.compose(left, shift)
-    if lin_i.const:
+    # K's rows over the ket bits, indexed like the form's parameter bits.
+    left = gf2.reducer_rows(r, m)[:m][::-1]
+    shift = 0
+    for p, row in enumerate(left):
+        if (row & t).bit_count() & 1:
+            shift |= 1 << p
+    # l: coefficients K^T l, constant l0 + l.shift.
+    d = 0
+    for p in _set_bits(l):
+        d ^= left[p]
+    d0 = l0 ^ ((l & shift).bit_count() & 1)
+    # q with B = cross + cross^T: cross terms K^T B K; the squares of
+    # each cross term u_p u_r (p < r) give the linear terms K_p & K_r;
+    # the shift adds K^T (B shift), and q's own linear part K^T lin.
+    cross, lin_z = [0] * n, 0
+    for p, row in enumerate(left):
+        bk = upper = 0
+        for j in _set_bits(sym[p]):
+            bk ^= left[j]
+            if j > p:
+                upper ^= left[j]
+        lin_z ^= row & upper
+        if ((sym[p] & shift).bit_count() ^ (lin >> p)) & 1:
+            lin_z ^= row
+        for a in _set_bits(row):
+            cross[a] ^= bk
+    if d0:
         # i^(1+a) = i * (-1)^a * i^a: fold the constant into the
         # (-1) part and drop the global i.
-        quad = quad ^ LinForm(lin_i.coeffs.copy(), 0)
-        lin_i = LinForm(lin_i.coeffs, 0)
-    phases = _diagonal_gates(lin_i, quad.cross, quad.lin)
+        lin_z ^= d
+    phases = _diagonal_gates(d, cross, lin_z)
 
     return NormalFormState(hadamards, tuple(linear), tuple(phases))
 
@@ -296,23 +362,29 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
     nf = synthesize_state_prep(run_clifford(c))
     m2 = nf.linear_layer + nf.phase_layer
 
-    x, z, e = _generator_stack(c)
+    st = _generator_stack(c)
     for g in _inverse_sequence(m2):
-        _conjugate_rows(x, z, e, g)
+        st.apply(g.kind, g.qubits)
     for k in nf.hadamard_set:
-        _conjugate_rows(x, z, e, gate(GateKind.H, k))
+        st.apply(GateKind.H, (k,))
 
-    rmat = x.T
+    # The ket map's row a is qubit a's x column.
     try:
-        cnots = _cnot_synthesis(rmat)
+        cnots = _cnot_synthesis(st.x)
     except ValueError:
         raise InvariantError("extracted ket map must be invertible") from None
 
     m1: list[Gate] = []
-    m1 += [gate(GateKind.P, int(i)) for i in np.nonzero(e % 2)[0]]
-    m1 += [gate(GateKind.Z, int(i)) for i in np.nonzero(e // 2)[0]]
-    cz_pairs = np.triu(gf2.mat_mul(z, rmat), 1)  # (i, j): zpart_i . xpart_j
-    m1 += [gate(GateKind.CZ, int(i), int(j)) for i, j in zip(*np.nonzero(cz_pairs))]
+    m1 += [gate(GateKind.P, i) for i in _set_bits(st.lo)]
+    m1 += [gate(GateKind.Z, i) for i in _set_bits(st.hi)]
+    # CZ (i, j), i < j, where zpart_i . xpart_j = 1: row i of Z X^T is the
+    # XOR of the x columns of the qubits in zpart_i.
+    zx = [0] * c.n_qubits
+    for a, za in enumerate(st.z):
+        for i in _set_bits(za):
+            zx[i] ^= st.x[a]
+    for i, row in enumerate(zx):
+        m1 += [gate(GateKind.CZ, i, j) for j in _set_bits(row >> (i + 1) << (i + 1))]
     m1 += cnots
 
     return OperatorNormalForm(tuple(m1), nf.hadamard_set, m2)

@@ -118,3 +118,145 @@ def histogram(rows) -> dict[str, int]:
     values, counts = np.unique(packed, return_counts=True)
     return {format(int(v), "b").zfill(k) if k else "": int(n)
             for v, n in zip(values, counts)}
+
+
+# ---------------------------------------------------------------------------
+# Numpy references for the bit-row normal-form code: the per-gate Pauli
+# rules and the eliminations as they were on uint8 arrays, one numpy
+# step per column.
+
+
+def reference_conjugate_rows(x: np.ndarray, z: np.ndarray, e: np.ndarray, g: Gate) -> None:
+    """Map every row i^e * X(x) * Z(z) of a stack to g row g^dagger, in place.
+
+    x and z are (k, n) uint8 bit matrices, e the (k,) uint8 i-exponents
+    mod 4.
+    """
+    kind, qs = g.kind, g.qubits
+    a = qs[0]
+    if kind is GateKind.H:
+        e += 2 * (x[:, a] & z[:, a])
+        x[:, [a]], z[:, [a]] = z[:, [a]], x[:, [a]]
+    elif kind is GateKind.P:
+        e += x[:, a]
+        z[:, a] ^= x[:, a]
+    elif kind is GateKind.X:
+        e += 2 * z[:, a]
+    elif kind is GateKind.Z:
+        e += 2 * x[:, a]
+    elif kind is GateKind.CNOT:
+        c, t = qs
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+    elif kind is GateKind.CZ:
+        b = qs[1]
+        e += 2 * (x[:, a] & x[:, b])
+        z[:, a] ^= x[:, b]
+        z[:, b] ^= x[:, a]
+    else:
+        raise ValueError(f"cannot conjugate through {kind.value}")
+    e %= 4
+
+
+def reference_generator_stack(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, e) of the rows C X_i C^dagger, row i for qubit i."""
+    from affstab.circuit import basic_clifford_gates
+    n = c.n_qubits
+    x, z = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+    e = np.zeros(n, dtype=np.uint8)
+    for g in basic_clifford_gates(c.gates):
+        reference_conjugate_rows(x, z, e, g)
+    return x, z, e
+
+
+def reference_row_echelon(m) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form by column-by-column Gauss-Jordan."""
+    r = np.asarray(m, dtype=np.uint8) % 2
+    n_rows, n_cols = r.shape
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(n_cols):
+        if row == n_rows:
+            break
+        hits = np.nonzero(r[row:, col])[0]
+        if hits.size == 0:
+            continue
+        pivot = row + int(hits[0])
+        if pivot != row:
+            r[[row, pivot]] = r[[pivot, row]]
+        others = r[:, col].astype(bool)
+        others[row] = False
+        r[others] ^= r[row]
+        pivot_cols.append(col)
+        row += 1
+    return r, pivot_cols
+
+
+def reference_decompose_invertible(e) -> list[tuple[int, int]]:
+    """(target, source) row additions that build e from the identity."""
+    work = np.asarray(e, dtype=np.uint8) % 2
+    n = work.shape[0]
+    ops: list[tuple[int, int]] = []
+
+    def add(target: int, source: int) -> None:
+        work[target] ^= work[source]
+        ops.append((target, source))
+
+    for col in range(n):
+        hits = np.nonzero(work[col:, col])[0]
+        if hits.size == 0:
+            raise ValueError("matrix is singular over GF(2)")
+        pivot = col + int(hits[0])
+        if pivot != col:
+            add(col, pivot)
+            add(pivot, col)
+            add(col, pivot)
+        for row in np.nonzero(work[:, col])[0]:
+            if row != col:
+                add(int(row), col)
+    return ops[::-1]
+
+
+def reference_state_prep(s) -> tuple[tuple, tuple, tuple]:
+    """(hadamard_set, linear_layer, phase_layer) of the three-round form,
+    computed on numpy arrays with the references above."""
+    from affstab.affine import LinForm
+    n, m, r, t = s.n, s.m, s.R, s.t
+    pivot_rows = set(reference_row_echelon(r.T)[1])
+    extra = [np.eye(n, dtype=np.uint8)[:, [j]] for j in range(n) if j not in pivot_rows]
+    e = np.concatenate([r] + extra, axis=1)
+    linear = [gate(GateKind.CNOT, src, tgt) for tgt, src in reference_decompose_invertible(e)]
+    linear += [gate(GateKind.X, int(k)) for k in np.nonzero(t)[0]]
+    aug = np.concatenate([r, np.eye(n, dtype=np.uint8)], axis=1)
+    left = reference_row_echelon(aug)[0][:m, m:]
+    shift = left @ t % 2
+    lin_i, quad = s.l.compose(left, shift), s.q.compose(left, shift)
+    if lin_i.const:
+        quad = quad ^ LinForm(lin_i.coeffs.copy(), 0)
+    d = lin_i.coeffs
+    cz_pairs = quad.cross ^ np.triu(np.outer(d, d), 1)
+    phases = [gate(GateKind.P, int(k)) for k in np.nonzero(d)[0]]
+    phases += [gate(GateKind.CZ, int(i), int(j)) for i, j in zip(*np.nonzero(cz_pairs))]
+    phases += [gate(GateKind.Z, int(k)) for k in np.nonzero(quad.lin)[0]]
+    return tuple(range(m)), tuple(linear), tuple(phases)
+
+
+def reference_decompose_operator(c: Circuit) -> tuple[tuple, tuple, tuple]:
+    """(m1, hadamard_set, m2) of the operator form, on numpy arrays."""
+    from affstab import run_clifford
+    hadamards, linear, phases = reference_state_prep(run_clifford(c))
+    m2 = linear + phases
+    x, z, e = reference_generator_stack(c)
+    for g in reversed(m2):
+        for _ in range(3 if g.kind is GateKind.P else 1):
+            reference_conjugate_rows(x, z, e, g)
+    for k in hadamards:
+        reference_conjugate_rows(x, z, e, gate(GateKind.H, k))
+    ket_map = x.T
+    m1 = [gate(GateKind.P, int(i)) for i in np.nonzero(e % 2)[0]]
+    m1 += [gate(GateKind.Z, int(i)) for i in np.nonzero(e // 2)[0]]
+    cz_pairs = np.triu(z @ ket_map % 2, 1)
+    m1 += [gate(GateKind.CZ, int(i), int(j)) for i, j in zip(*np.nonzero(cz_pairs))]
+    m1 += [gate(GateKind.CNOT, src, tgt)
+           for tgt, src in reference_decompose_invertible(ket_map)]
+    return tuple(m1), hadamards, m2

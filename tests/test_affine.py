@@ -297,6 +297,32 @@ def test_apply_h_rejects_rank_deficient_form():
         apply_h(s, 0)
 
 
+
+RANK_DEFICIENT_RUN = (
+    "import numpy as np\n"
+    "from affstab import AffineForm, LinForm, QuadForm, affine, parse\n"
+    "from affstab.errors import InvariantError\n"
+    "def broken(s, g):\n"
+    "    # Two equal columns: m = 2, rank 1.\n"
+    "    r = np.array([[1, 1], [1, 1], [0, 0]], dtype=np.uint8)\n"
+    "    return AffineForm(3, r, np.zeros(3, dtype=np.uint8), LinForm.zero(2),\n"
+    "                      QuadForm.zero(2))\n"
+    "affine.apply_gate = broken\n"
+    "try:\n"
+    "    affine.run_clifford(parse('qubits 3\\nx 2\\n'))\n"
+    "except InvariantError as exc:\n"
+    "    print(exc)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_run_clifford_rejects_rank_deficient_final_form(flags):
+    # The closing rank check is a typed error, so it also holds under -O.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, *flags, "-c", RANK_DEFICIENT_RUN], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "update broke full column rank\n", done.stderr
+
 # sha256 of dump() after run_clifford, frozen from the numpy engine the
 # bit rows replaced (seeded circuits of 10n gates of every Clifford kind).
 GOLDEN_DUMPS = {

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import os
@@ -222,7 +223,7 @@ def test_singular_ket_map_in_decompose_is_exit_3(tmp_path, monkeypatch):
     # decompose synthesizes CNOTs twice: the state preparation's ket map,
     # then the extracted one, whose singularity is an invariant failure.
     from affstab import gf2
-    real, calls = gf2.decompose_invertible, []
+    real, calls = gf2.decompose_rows, []
 
     def second_call_singular(e):
         calls.append(e)
@@ -230,7 +231,7 @@ def test_singular_ket_map_in_decompose_is_exit_3(tmp_path, monkeypatch):
             raise ValueError("matrix is singular over GF(2)")
         return real(e)
 
-    monkeypatch.setattr(gf2, "decompose_invertible", second_call_singular)
+    monkeypatch.setattr(gf2, "decompose_rows", second_call_singular)
     path = circuit_file(tmp_path, "ghz2.cq", GHZ)
     status, out, err = run(["decompose", path])
     assert (status, out, len(calls)) == (3, "", 2)
@@ -354,3 +355,58 @@ def test_sample_and_prob_match_golden_hashes(tmp_path, name):
         status, out, _ = run(argv)
         digest.update(f"{argv[2:]} {status}\n{out}".encode())
     assert digest.hexdigest() == GOLDEN_OUTPUTS[name]
+
+
+def normal_form_circuits():
+    """The golden circuits, one with PDG and SWAP gates, and one whose
+    measure line lists several qubits out of order (the normal forms
+    echo it)."""
+    rng = np.random.default_rng(89)
+    circuits = dict(golden_circuits())
+    circuits["clifford-pdg-swap"] = random_clifford_circuit(
+        rng, 9, 150, kinds=(GateKind.H, GateKind.P, GateKind.PDG, GateKind.CNOT,
+                            GateKind.SWAP, GateKind.CZ, GateKind.X, GateKind.Z))
+    measured = random_clifford_circuit(rng, 11, 110)
+    circuits["clifford-measured"] = dataclasses.replace(measured, measured=(7, 2, 10, 0))
+    return circuits
+
+
+# sha256 of the argv tails, exit codes and stdout of ``normal_form_runs``,
+# computed on the numpy generator stack and eliminations that the
+# bit-sliced stack and the int-row eliminations replaced.
+GOLDEN_NORMAL_FORMS = {
+    "clifford":
+        "e34092b2b588f541d993e9b31c4de3028a6699404bd76d19945800d74984a527",
+    "clifford-m0":
+        "54606f10ecd9fff662fc6f52f89b2a39b42c2f8f3984b9183f3076b8042f2ca7",
+    "clifford-measured":
+        "aa19694d0bfc69960e9a1454287591d66569d3ac554b3e560e9f40a12445525f",
+    "clifford-pdg-swap":
+        "13cb0df57bd4b9b19194abbdab87b437600a04f3972c0dd412bd86f5bddb4813",
+    "clifford-wide":
+        "b96b4d8f0ab4dad1b6c80a3f0553f6ddd99244d632d0652ec359c5bd465c9f1e",
+    "ht":
+        "a3d7a63987a9e05f445adb237b418193d0d6f4de960d7342b28e1cb4983f4ea1",
+    "product-front":
+        "a3d7a63987a9e05f445adb237b418193d0d6f4de960d7342b28e1cb4983f4ea1",
+}
+
+
+def normal_form_runs(path, c):
+    # --check replays through the oracle, which compares states up to
+    # 14 qubits and operators up to 10.
+    for verb, oracle_cap in (("normalize", 14), ("decompose", 10)):
+        yield [verb, path]
+        if c.n_qubits <= oracle_cap:
+            yield [verb, path, "--check"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NORMAL_FORMS))
+def test_normal_forms_match_golden_hashes(tmp_path, name):
+    c = normal_form_circuits()[name]
+    path = circuit_file(tmp_path, f"{name}.cq", emit(c))
+    digest = hashlib.sha256()
+    for argv in normal_form_runs(path, c):
+        status, out, _ = run(argv)
+        digest.update(f"{argv[2:]} {status}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_NORMAL_FORMS[name]

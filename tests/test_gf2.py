@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affstab import gf2
-from helpers import random_invertible
+from helpers import (random_invertible, reference_decompose_invertible,
+                     reference_row_echelon)
 
 
 def brute_rank(m: np.ndarray) -> int:
@@ -159,3 +162,48 @@ def test_ints_and_bit_matrix_round_trip():
         assert np.array_equal(gf2.bit_matrix(ints, width), a)
         # A transposed view packs its columns.
         assert gf2.ints(a.T) == gf2.ints(np.ascontiguousarray(a.T))
+
+
+@st.composite
+def bit_matrices(draw, square=False):
+    """A random bit matrix, sparse or dense, up to 70 columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = draw(st.integers(0, 30))
+    cols = rows if square else draw(st.sampled_from([0, 1, 5, 30, 64, 70]))
+    density = draw(st.sampled_from([0.05, 0.5, 0.9]))
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_int_eliminations_match_numpy_rref(m):
+    want, want_pivots = reference_row_echelon(m)
+    rank = len(want_pivots)
+    rref, pivots = gf2.rref_rows(gf2.ints(m))
+    assert pivots == want_pivots
+    assert rref == gf2.ints(want[:rank])
+    got, got_pivots = gf2.row_echelon(m)
+    assert np.array_equal(got, want) and got_pivots == want_pivots
+    # The rows independent of the rows before them are the pivot
+    # columns of the transpose's reduced form.
+    assert gf2.independent_rows(gf2.ints(m)) == reference_row_echelon(m.T)[1]
+    if rank == m.shape[1]:
+        e = reference_row_echelon(np.concatenate([m, np.eye(len(m), dtype=np.uint8)],
+                                                 axis=1))[0][:, m.shape[1]:]
+        assert gf2.reducer_rows(gf2.ints(m), m.shape[1]) == gf2.ints(e)
+    elif m.shape[1]:
+        with pytest.raises(ValueError):
+            gf2.reducer_rows(gf2.ints(m), m.shape[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices(square=True))
+def test_decompose_rows_matches_numpy_reference(m):
+    n = len(m)
+    if len(reference_row_echelon(m)[1]) < n:
+        with pytest.raises(ValueError):
+            gf2.decompose_rows(gf2.ints(m))
+        return
+    ops = gf2.decompose_rows(gf2.ints(m))
+    assert ops == reference_decompose_invertible(m)
+    assert np.array_equal(gf2.replay_additions(ops, n), m)

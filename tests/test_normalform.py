@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affstab import (Circuit, GateKind, amplitude, gate, gf2, init_zero, parse,
                      run_clifford, synthesize_state_prep)
 from affstab.affine import MAX_CLIFFORD_QUBITS
 from affstab.errors import CapacityError, ClassificationError
-from affstab.normalform import (PauliTerm, conjugate_pauli,
+from affstab.normalform import (PauliTerm, _generator_stack, conjugate_pauli,
                                 conjugated_generators, decompose_operator)
 from affstab.statevector import (circuit_unitary, equal_up_to_phase,
                                  proportional_as_operators, run_statevector)
-from helpers import random_clifford_circuit
+from helpers import (random_clifford_circuit, reference_decompose_operator,
+                     reference_generator_stack, reference_state_prep)
 
 LINEAR_KINDS = {GateKind.CNOT, GateKind.X}
 PHASE_KINDS = {GateKind.P, GateKind.CZ, GateKind.Z}
@@ -211,3 +218,73 @@ def test_generator_stack_width_cap():
     n = MAX_CLIFFORD_QUBITS + 1
     with pytest.raises(CapacityError):
         conjugated_generators(Circuit(n, (gate(GateKind.H, n - 1),)))
+
+
+# ---------------------------------------------------------------------------
+# The bit-sliced stack and the int-row synthesis against numpy references
+
+ALL_CLIFFORD = (GateKind.H, GateKind.P, GateKind.PDG, GateKind.X, GateKind.Z,
+                GateKind.CNOT, GateKind.CZ, GateKind.SWAP)
+
+
+@st.composite
+def clifford_circuits(draw, widths=st.integers(1, 12)):
+    """A seeded random Clifford circuit, PDG and SWAP included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(widths)
+    kinds = ALL_CLIFFORD if n > 1 else ALL_CLIFFORD[:5]
+    return random_clifford_circuit(rng, n, draw(st.integers(0, 12 * n)), kinds=kinds)
+
+
+def stack_arrays(stack, n):
+    """(x, z, e) of a bit-sliced stack as (rows, qubits) arrays."""
+    x, z = gf2.bit_matrix(stack.x, n).T, gf2.bit_matrix(stack.z, n).T
+    lo, hi = gf2.bit_matrix([stack.lo, stack.hi], n)
+    return x, z, lo + 2 * hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(clifford_circuits())
+def test_generator_stack_matches_numpy_reference(c):
+    got = stack_arrays(_generator_stack(c), c.n_qubits)
+    for a, b in zip(got, reference_generator_stack(c)):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(clifford_circuits(widths=st.just(70)))
+def test_generator_stack_wider_than_a_word(c):
+    got = stack_arrays(_generator_stack(c), 70)
+    for a, b in zip(got, reference_generator_stack(c)):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clifford_circuits())
+def test_normal_forms_match_numpy_reference(c):
+    nf = synthesize_state_prep(run_clifford(c))
+    assert (nf.hadamard_set, nf.linear_layer, nf.phase_layer) == \
+        reference_state_prep(run_clifford(c))
+    onf = decompose_operator(c)
+    assert (onf.m1, onf.hadamard_set, onf.m2) == reference_decompose_operator(c)
+
+
+def test_stack_squares_check_raises_under_dash_o():
+    # A row that no longer squares to +I (e_0 = 1 with X on qubit 0)
+    # must raise InvariantError also when asserts are compiled out.
+    code = (
+        "from affstab import normalform, parse\n"
+        "from affstab.errors import InvariantError\n"
+        "real = normalform._PauliStack.apply\n"
+        "def skewed(self, kind, qs):\n"
+        "    real(self, kind, qs)\n"
+        "    self.lo |= 1\n"
+        "normalform._PauliStack.apply = skewed\n"
+        "try:\n"
+        "    normalform.decompose_operator(parse('qubits 2\\nx 0\\n'))\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "conjugate of X_i must square to +I\n", done.stderr
