@@ -58,23 +58,18 @@ def dot(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_and(a, b).sum() % 2)
 
 
-def rref_rows(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form of int rows (column j at bit j).
+def _echelon(rows: list[int]) -> tuple[dict[int, int], int, list[int]]:
+    """Insert the int rows one at a time into pivot rows keyed by their
+    lowest set bit, each row first reduced against the pivots so far.
 
-    Each row is reduced against the pivot rows found so far, keyed by
-    their lowest set bit, and kept if anything is left; one pass of back
-    substitution then clears every pivot column above its pivot.  The
-    reduced form of a matrix is unique, so this equals column-by-column
-    Gauss-Jordan with lowest-index pivots.
-
-    Returns:
-        (rref, pivot_cols): the nonzero rows of the reduced form, in
-        pivot order, and their pivot columns (ascending; the count is
-        the rank).
+    Returns (pivots, mask, kept): lowest bit -> pivot row, the OR of
+    the keys, and the indices of the rows that were independent of the
+    rows before them.
     """
-    pivots: dict[int, int] = {}   # lowest bit -> row with that lowest bit
+    pivots: dict[int, int] = {}
     mask = 0
-    for x in rows:
+    kept = []
+    for i, x in enumerate(rows):
         hit = x & mask
         while hit:
             x ^= pivots[hit & -hit]
@@ -83,6 +78,24 @@ def rref_rows(rows: list[int]) -> tuple[list[int], list[int]]:
             low = x & -x
             pivots[low] = x
             mask |= low
+            kept.append(i)
+    return pivots, mask, kept
+
+
+def rref_rows(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form of int rows (column j at bit j).
+
+    The rows go into an echelon form keyed by lowest set bits; one pass
+    of back substitution then clears every pivot column above its
+    pivot.  The reduced form of a matrix is unique, so this equals
+    column-by-column Gauss-Jordan with lowest-index pivots.
+
+    Returns:
+        (rref, pivot_cols): the nonzero rows of the reduced form, in
+        pivot order, and their pivot columns (ascending; the count is
+        the rank).
+    """
+    pivots, mask, _ = _echelon(rows)
     keys = sorted(pivots)
     for low in reversed(keys):
         x = pivots[low]
@@ -100,20 +113,7 @@ def rref_rows(rows: list[int]) -> tuple[list[int], list[int]]:
 def independent_rows(rows: list[int]) -> list[int]:
     """Indices of the int rows that are independent of the rows before
     them (the pivot columns of the transpose's reduced form)."""
-    pivots: dict[int, int] = {}
-    mask = 0
-    out = []
-    for i, x in enumerate(rows):
-        hit = x & mask
-        while hit:
-            x ^= pivots[hit & -hit]
-            hit = x & mask
-        if x:
-            low = x & -x
-            pivots[low] = x
-            mask |= low
-            out.append(i)
-    return out
+    return _echelon(rows)[2]
 
 
 def reducer_rows(rows: list[int], width: int) -> list[int]:
@@ -283,7 +283,7 @@ def left_inverse(m: np.ndarray) -> np.ndarray:
         ValueError: if m is column-rank deficient.
     """
     m = bits(m)
-    return bit_matrix(reducer_rows(ints(m), m.shape[1])[:m.shape[1]], m.shape[0])
+    return row_reducer(m)[:m.shape[1]].copy()
 
 
 def decompose_invertible(e: np.ndarray) -> list[tuple[int, int]]:

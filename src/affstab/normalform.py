@@ -247,12 +247,15 @@ def _diagonal_gates(d: int, cross: list[int], lin_z: int) -> list[Gate]:
     i^a i^b = (-1)^(ab) i^(a XOR b).
     """
     gates = [gate(GateKind.P, k) for k in _set_bits(d)]
-    for i, row in enumerate(cross):
-        if d >> i & 1:
-            row ^= d
-        gates += [gate(GateKind.CZ, i, j) for j in _set_bits(row >> (i + 1) << (i + 1))]
+    gates += _upper_cz([row ^ d if d >> i & 1 else row for i, row in enumerate(cross)])
     gates += [gate(GateKind.Z, k) for k in _set_bits(lin_z)]
     return gates
+
+
+def _upper_cz(rows: list[int]) -> list[Gate]:
+    """CZ(i, j) for each bit j > i of row i, in row-major order."""
+    return [gate(GateKind.CZ, i, j) for i, row in enumerate(rows)
+            for j in _set_bits(row >> (i + 1) << (i + 1))]
 
 
 def _param_order(rows: list[int], m: int) -> list[int]:
@@ -383,8 +386,7 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
     for a, za in enumerate(st.z):
         for i in _set_bits(za):
             zx[i] ^= st.x[a]
-    for i, row in enumerate(zx):
-        m1 += [gate(GateKind.CZ, i, j) for j in _set_bits(row >> (i + 1) << (i + 1))]
+    m1 += _upper_cz(zx)
     m1 += cnots
 
     return OperatorNormalForm(tuple(m1), nf.hadamard_set, m2)
