@@ -358,9 +358,10 @@ def test_sample_and_prob_match_golden_hashes(tmp_path, name):
 
 
 def normal_form_circuits():
-    """The golden circuits, one with PDG and SWAP gates, and one whose
-    measure line lists several qubits out of order (the normal forms
-    echo it)."""
+    """The golden circuits (the normal forms refuse the HT and
+    product-front ones with exit 1, so those two hash alike), plus one
+    with PDG and SWAP gates and one whose measure line lists several
+    qubits out of order (the normal forms echo it)."""
     rng = np.random.default_rng(89)
     circuits = dict(golden_circuits())
     circuits["clifford-pdg-swap"] = random_clifford_circuit(
