@@ -29,7 +29,10 @@ are numpy views, built on first read, cached and read-only; the lists
 behind them are never changed after a form is built.  Measurement reads
 the rows themselves: ``subset_rows`` gives R_S as the row ints of the
 measured qubits (same bit order) and t_S as one 0/1 int per qubit;
-the normal forms read all of them through ``bit_rows``.
+the normal forms read all of them through ``bit_rows``.  One more
+slot, ``_readout``, is ``measure``'s memo: the elimination of R_S for
+the last measured subset, set on first query, which depends only on
+the form and the subset, so nothing ever invalidates it.
 
 Cost per gate, in operations on ints of at most n bits (one machine
 word per 64 bits): X and Z, O(1); CNOT, O(1) plus copying the two lists
@@ -157,7 +160,7 @@ class AffineForm:
 
     __slots__ = ("n", "_m", "_rows", "_t", "_l", "_l0", "_sym", "_lin", "_q0",
                  "_cols", "_R_view", "_t_view", "_l_view", "_q_view",
-                 "_frame_view")
+                 "_frame_view", "_readout")
 
     def __init__(self, n: int, R, t, l: LinForm, q: QuadForm):
         R = gf2.bits(R)

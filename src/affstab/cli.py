@@ -97,6 +97,8 @@ def cmd_decompose(args, out, err) -> int:
 
 
 def cmd_sample(args, out, err) -> int:
+    if args.shots < 0:
+        raise ValueError(f"--shots must be at least 0, got {args.shots}")
     c = _with_measured(_load(args.circuit), args.qubits)
     rng = np.random.default_rng(args.seed)
     tag = classify(c)

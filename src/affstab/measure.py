@@ -4,9 +4,13 @@ Computational-basis measurement of a subset S of qubits on an affine
 form.  Both read R_S and t_S straight off the form's bit rows
 (``affine.subset_rows``), never through the numpy ``R`` view.
 Probabilities are exact dyadics (0 or a power of 1/2) computed with no
-floating point, by one GF(2) elimination over the |S| row ints per
-query; sampling draws the m free parameters uniformly and reads the
-measured bits off the ket map, bit-sliced over the shots.
+floating point.  Strong simulation runs one GF(2) elimination of R_S
+per subset, memoised on the form: it gives the rank, and one parity
+check on the outcome bits per row of R_S that the rows before it span
+(the left kernel).  A query then costs |S| - rank parities, and the
+support's listing reads the same elimination.  Sampling draws the m
+free parameters uniformly and reads the measured bits off the ket map,
+bit-sliced over the shots.
 """
 
 from __future__ import annotations
@@ -79,23 +83,101 @@ def _subset(n: int, subset) -> list[int]:
     return qubits
 
 
+def _outcome(size: int, alpha) -> list:
+    """The outcome bits as given, checked one bit equal to 0 or 1 per qubit."""
+    bits = list(alpha)
+    if len(bits) != size:
+        raise ValueError("outcome length does not match subset size")
+    if not {0, 1}.issuperset(bits):
+        raise ValueError("outcome bits must be 0 or 1")
+    return bits
+
+
 def check_query(n: int, subset, alpha) -> tuple[list[int], list[int]]:
     """The qubits and outcome bits of an exact-probability query.
 
-    Both exact paths (``strong_prob`` and HT counting) take their input
-    through here, so they accept and refuse the same queries.
+    Both exact paths (``strong_prob`` and HT counting) check their input
+    with the same functions, in the same order, so they accept and
+    refuse the same queries with the same messages.
 
     Raises:
         ValueError: if the qubits are not distinct and in range, or the
         outcome is not one bit of exactly 0 or 1 per qubit.
     """
     qubits = _subset(n, subset)
-    bits = list(alpha)
-    if len(bits) != len(qubits):
-        raise ValueError("outcome length does not match subset size")
-    if not {0, 1}.issuperset(bits):
-        raise ValueError("outcome bits must be 0 or 1")
-    return qubits, list(map(int, bits))
+    return qubits, list(map(int, _outcome(len(qubits), alpha)))
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack(bits: list) -> int:
+    """Bits equal to 0 or 1 as one int, ``bits[k]`` at bit len(bits)-1-k."""
+    try:
+        raw = bytes(bits)
+    except TypeError:
+        # Floats and other non-integers: ``bytes`` takes only integers.
+        raw = bytes(map(int, bits))
+    return int(b"0" + raw.translate(_DIGITS), 2)
+
+
+class _Readout:
+    """One elimination of R_S, shared by every query on (state, S).
+
+    Outcome position k (qubit ``qubits[k]``) is at bit |S|-1-k of
+    ``t`` (t_S) and of each check.  A check is the mask of the rows of
+    R_S that sum to zero, one per row the rows before it span, and its
+    lowest bit is that row; an outcome alpha is possible iff alpha + t_S
+    has even parity on every check.
+    """
+
+    __slots__ = ("qubits", "rank", "t", "checks", "prob")
+
+    def __init__(self, qubits: tuple[int, ...], rank: int, t: int,
+                 checks: tuple[int, ...]):
+        self.qubits, self.rank, self.t, self.checks = qubits, rank, t, checks
+        self.prob = DyadicProb.power(rank)
+
+
+def _readout(s: AffineForm, subset) -> _Readout:
+    """The readout of ``subset`` on ``s``, memoised on the form.
+
+    The form keeps the last subset's readout (``AffineForm._readout``),
+    keyed by its qubits after ``operator.index``; a key is stored only
+    once ``_subset`` has accepted it, so a hit needs no check.  The slot
+    always holds a whole readout, so threads that race here at worst
+    each run the elimination.
+    """
+    qubits = tuple(map(operator.index, subset))
+    try:
+        last = s._readout
+        if last.qubits == qubits:
+            return last
+    except AttributeError:
+        pass
+    rows, t_s = affine.subset_rows(s, _subset(s.n, qubits))
+    # Each row of R_S is reduced by the pivot rows so far, keyed by
+    # their top bit; c tracks which rows of R_S the result sums.
+    size = len(rows)
+    pivots: dict[int, tuple[int, int]] = {}
+    checks = []
+    for k, x in enumerate(rows):
+        c = 1 << size - 1 - k
+        while x:
+            top = x.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = x, c
+                break
+            x ^= pivot[0]
+            c ^= pivot[1]
+        else:
+            checks.append(c)
+    s._readout = last = _Readout(qubits, len(pivots), _pack(t_s), tuple(checks))
+    return last
+
+
+_IMPOSSIBLE = DyadicProb.impossible()
 
 
 def strong_prob(s: AffineForm, subset, alpha) -> DyadicProb:
@@ -103,28 +185,17 @@ def strong_prob(s: AffineForm, subset, alpha) -> DyadicProb:
 
     Phases never enter: the count of parameter assignments hitting
     alpha is 2^(m - rank) out of 2^m, or zero if the restricted system
-    R_S u = alpha + t_S is inconsistent.  One elimination over the
-    form's bit rows: each row of R_S, with alpha_k + t_k appended at
-    bit 0, is reduced by the pivot rows found so far (keyed by their
-    top bit); a row that reduces to the lone appended bit is the
-    equation 0 = 1, and otherwise the pivots count the rank.
+    R_S u = alpha + t_S is inconsistent.  The system's left side is
+    eliminated once per subset and memoised on the form (the module
+    docstring); the system is consistent iff alpha + t_S has even
+    parity on each of the |S| - rank left-kernel checks it yields.
     """
-    qubits, bits = check_query(s.n, subset, alpha)
-    rows, t_s = affine.subset_rows(s, qubits)
-    pivots: dict[int, int] = {}
-    for row, tk, a in zip(rows, t_s, bits):
-        x = row << 1 | (a ^ tk)
-        while x > 1:
-            top = x.bit_length()
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = x
-                break
-            x ^= pivot
-        else:
-            if x:
-                return DyadicProb.impossible()
-    return DyadicProb.power(len(pivots))
+    readout = _readout(s, subset)
+    a = _pack(_outcome(len(readout.qubits), alpha)) ^ readout.t
+    for check in readout.checks:
+        if (a & check).bit_count() & 1:
+            return _IMPOSSIBLE
+    return readout.prob
 
 
 def weak_sample_many(s: AffineForm, subset, shots: int,
@@ -153,24 +224,40 @@ def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, Dy
 
     There are 2^rank(R_S) of them, each of probability 2^(-rank); the
     list is sorted by bit pattern and its probabilities sum to 1
-    exactly.
+    exactly.  It reads the subset's memoised elimination (the module
+    docstring), as ``strong_prob`` does.
 
     Raises:
         CapacityError: if the support exceeds ``cap`` outcomes.
     """
-    subset = tuple(_subset(s.n, subset))
-    rows, t_s = affine.subset_rows(s, subset)
-    r_s, t_s = gf2.bit_matrix(rows, s.m)[:, ::-1], np.array(t_s, dtype=np.uint8)
-    # Basis of the column space: independent rows of R_S^T.
-    rref, pivots = gf2.row_echelon(r_s.T)
-    rank = len(pivots)
+    readout = _readout(s, subset)
+    rank, size, t = readout.rank, len(readout.qubits), readout.t
     if 2 ** rank > cap:
         raise CapacityError(
             f"support has {2 ** rank} outcomes, which exceeds the cap {cap}")
-    prob = DyadicProb.power(rank)
-    # RREF row i is the only one set at pivot i and is 0 left of it, so
-    # an outcome's bits up to pivot i depend on codes 0..i alone, with
-    # t + code i at pivot i: counting up through t + codes sorts them.
-    ups = (np.arange(2 ** rank)[:, None] >> np.arange(rank - 1, -1, -1)) & 1
-    outs = gf2.mat_mul(ups ^ t_s[pivots], rref[:rank]) ^ t_s
-    return [(Outcome(subset, tuple(bits)), prob) for bits in outs.tolist()]
+    # One int per outcome position, outcome j at bit j.  The positions
+    # of the pivot rows are free, and take the bits of j from the
+    # highest down; every other position is fixed by its check, which
+    # reads only positions before it.  So the first position where two
+    # outcomes differ is free, and counting up lists them sorted.
+    count = 1 << rank
+    codes = iter(gf2.ints(
+        ((np.arange(count) >> np.arange(rank - 1, -1, -1)[:, None]) & 1).astype(np.uint8)))
+    fixed = {check & -check: check for check in readout.checks}
+    cols, ones = {}, (1 << count) - 1
+    for k in range(size):
+        bit = 1 << size - 1 - k
+        check = fixed.get(bit)
+        if check is None:
+            cols[bit] = next(codes)
+            continue
+        col = ones if (t & check).bit_count() & 1 else 0
+        rest = check ^ bit
+        while rest:
+            low = rest & -rest
+            col ^= cols[low]
+            rest ^= low
+        cols[bit] = col
+    outs = gf2.bit_matrix(list(cols.values()), count).T
+    return [(Outcome(readout.qubits, tuple(bits)), readout.prob)
+            for bits in outs.tolist()]

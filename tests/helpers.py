@@ -260,3 +260,25 @@ def reference_decompose_operator(c: Circuit) -> tuple[tuple, tuple, tuple]:
     m1 += [gate(GateKind.CNOT, src, tgt)
            for tgt, src in reference_decompose_invertible(ket_map)]
     return tuple(m1), hadamards, m2
+
+
+def reference_enumerate_support(s, subset, cap: int) -> list:
+    """The (Outcome, DyadicProb) listing of ``measure.enumerate_support``,
+    from a numpy RREF of R_S^T: the route it replaced."""
+    from affstab import CapacityError, gf2
+    from affstab.measure import DyadicProb, Outcome
+    subset = tuple(map(int, subset))
+    r_s, t_s = s.R[list(subset)], s.t[list(subset)]
+    # Basis of the column space: independent rows of R_S^T.
+    rref, pivots = gf2.row_echelon(r_s.T)
+    rank = len(pivots)
+    if 2 ** rank > cap:
+        raise CapacityError(
+            f"support has {2 ** rank} outcomes, which exceeds the cap {cap}")
+    prob = DyadicProb.power(rank)
+    # RREF row i is the only one set at pivot i and is 0 left of it, so
+    # an outcome's bits up to pivot i depend on codes 0..i alone, with
+    # t + code i at pivot i: counting up through t + codes sorts them.
+    ups = (np.arange(2 ** rank)[:, None] >> np.arange(rank - 1, -1, -1)) & 1
+    outs = gf2.mat_mul(ups ^ t_s[pivots], rref[:rank]) ^ t_s
+    return [(Outcome(subset, tuple(bits)), prob) for bits in outs.tolist()]

@@ -247,6 +247,36 @@ def test_sample_out_of_memory_is_capacity(tmp_path):
     assert err.startswith("capacity exceeded: ") and "Traceback" not in err
 
 
+def test_negative_shots_is_bad_input(tmp_path):
+    # Refused before the file is read, on every sampling route.
+    for name, text in (("ghz2.cq", GHZ), ("ht.cq", HT), ("pf.cq", PRODUCT)):
+        path = circuit_file(tmp_path, name, text)
+        status, out, err = run(["sample", path, "--shots", "-1"])
+        assert (status, out) == (1, ""), name
+        assert err == "error: --shots must be at least 0, got -1\n", name
+
+
+def test_verify_asks_strong_prob_once_per_oracle_outcome(tmp_path, monkeypatch):
+    # The benchmark's trace cross-checks measure.strong_prob.calls
+    # against this count, through the module attribute its tracer wraps.
+    from affstab import measure, statevector
+    c = random_clifford_circuit(np.random.default_rng(8), 6, 60)
+    c = dataclasses.replace(c, measured=(4, 1, 3, 0))
+    path = circuit_file(tmp_path, "clifford.cq", emit(c))
+    calls = []
+    real = measure.strong_prob
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "strong_prob", counted)
+    status, out, _ = run(["verify", path])
+    assert status == 0 and "verdict: PASS" in out
+    oracle = statevector.distribution(statevector.run_statevector(c), c.measured)
+    assert len(calls) == len(oracle) > 1
+
+
 def test_negative_limit_is_bad_input(tmp_path):
     path = circuit_file(tmp_path, "ht.cq", HT)
     for verb in (["prob", path, "--outcome", "1"], ["verify", path]):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from affstab import (CapacityError, apply_h, enumerate_support, gf2, init_zero,
                      parse, run_clifford, strong_prob, weak_sample_many)
 from affstab.affine import AffineForm, LinForm, QuadForm
-from affstab.measure import DyadicProb, Outcome, format_rows
+from affstab.measure import DyadicProb, Outcome, check_query, format_rows
 from affstab.statevector import distribution, run_statevector
-from helpers import BAD_QUERIES, BELL_X, all_subsets, random_clifford_circuit
+from helpers import (BAD_QUERIES, BELL_X, all_subsets, random_clifford_circuit,
+                     reference_enumerate_support)
 
 
 def ghz():
@@ -257,3 +258,113 @@ def test_strong_prob_matches_rref_reference_on_fixed_forms():
         for subset in ([], range(s.n), range(s.n - 1, -1, -1),
                        rng.permutation(s.n)[:s.n // 2]):
             check_against_reference(s, subset, rng)
+
+
+def bad_queries(s: AffineForm, subset: list[int]) -> list[tuple[object, object]]:
+    """Queries next to a valid (subset, outcome) on ``s`` that must be
+    refused: a float index, an out-of-range index, a duplicate, a wrong
+    length, a bit of 2, and the outcome as a string of 0/1 characters.
+    The last three keep ``subset`` unless it is empty."""
+    k = len(subset)
+    zeros, text = [0] * k, ("01" * k)[:k]
+    return [([float(q) for q in subset] or [0.0], zeros or [0]),
+            (subset + [s.n], zeros + [0]),
+            (subset + subset[:1] or [0, 0], zeros + zeros[:1] or [0, 0]),
+            (subset, zeros + [0]),
+            (subset or [0], [2] + zeros[1:]),
+            (subset or [0], text or "0")]
+
+
+def assert_refused_alike(s: AffineForm, subset, alpha) -> None:
+    """strong_prob refuses the query exactly as check_query does."""
+    with pytest.raises(Exception) as want:
+        check_query(s.n, subset, alpha)
+    with pytest.raises(Exception) as got:
+        strong_prob(s, subset, alpha)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@st.composite
+def interleaved_queries(draw):
+    """A random form and a sequence of (subset, outcome) queries on it,
+    the subsets drawn from one pool: empty, full, permuted, a numpy int
+    array and a ``range``."""
+    s, subset, rng = draw(queried_forms())
+    n = s.n
+    pool = [[], list(range(n)), range(n), np.array(subset, dtype=np.int64),
+            list(subset), [int(q) for q in rng.permutation(n)]]
+    steps = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+                          min_size=1, max_size=12))
+    return s, [(pool[i], sampled) for i, sampled in steps], rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(interleaved_queries())
+def test_memoised_subsets_answer_and_refuse_like_the_reference(case):
+    s, steps, rng = case
+    for subset, sampled in steps:
+        qubits = [int(q) for q in subset]
+        if sampled:
+            alpha = weak_sample_many(s, qubits, 1, rng)[0]
+        else:
+            alpha = rng.integers(0, 2, len(qubits), dtype=np.uint8)
+        want = reference_prob(s, qubits, alpha)
+        assert str(strong_prob(s, subset, alpha)) == want
+        assert s._readout.qubits == tuple(qubits)
+        # The outcome as ints, bools, floats and numpy scalars alike.
+        for bits in (alpha.tolist(), [bool(b) for b in alpha],
+                     [float(b) for b in alpha], list(alpha)):
+            assert str(strong_prob(s, subset, bits)) == want
+        for bad_subset, bad_alpha in bad_queries(s, qubits):
+            assert_refused_alike(s, bad_subset, bad_alpha)
+        if qubits:
+            assert s._readout.qubits == tuple(qubits)
+
+
+def assert_support_matches_reference(s: AffineForm, subset, cap: int) -> None:
+    try:
+        want = reference_enumerate_support(s, subset, cap)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as got:
+            enumerate_support(s, subset, cap)
+        assert str(got.value) == str(exc)
+        return
+    assert enumerate_support(s, subset, cap) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(queried_forms())
+def test_enumerate_support_matches_numpy_reference(case):
+    s, subset, rng = case
+    assert_support_matches_reference(s, subset, 256)
+    # Again on the memoised subset, and after a query on another.
+    assert_support_matches_reference(s, subset, 256)
+    strong_prob(s, range(s.n), [0] * s.n)
+    assert_support_matches_reference(s, subset, 256)
+
+
+def test_enumerate_support_matches_numpy_reference_on_fixed_forms():
+    # m = 0, forms with no frame, and one wider than a 64-bit word.
+    rng = np.random.default_rng(36)
+    forms = [init_zero(5), run_clifford(parse("qubits 3\nx 1\ncnot 1 2")),
+             hand_built(rng, 8, 5), hand_built(rng, 6, 0), wide_form()]
+    for s in forms:
+        for subset in ([], range(s.n), range(s.n - 1, -1, -1),
+                       rng.permutation(s.n)[:s.n // 2], rng.permutation(s.n)[:8]):
+            assert_support_matches_reference(s, subset, 4096)
+
+
+def test_enumerate_support_at_the_cap():
+    rng = np.random.default_rng(37)
+    s = wide_form()
+    for size in (1, 6, 12):
+        subset = [int(q) for q in rng.permutation(s.n)[:size]]
+        rank = len(gf2.row_echelon(s.R[subset].T)[1])
+        table = enumerate_support(s, subset, 2 ** rank)
+        assert len(table) == 2 ** rank
+        assert table == reference_enumerate_support(s, subset, 2 ** rank)
+        with pytest.raises(CapacityError) as exc:
+            enumerate_support(s, subset, 2 ** rank - 1)
+        assert str(exc.value) == (f"support has {2 ** rank} outcomes, "
+                                  f"which exceeds the cap {2 ** rank - 1}")
