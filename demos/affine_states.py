@@ -8,13 +8,13 @@ amplitudes so the correspondence is visible.
 """
 
 from affstab import (GateKind, amplitude, apply_gate, gate, init_zero, parse,
-                     run_clifford, support_size, to_statevector)
+                     run_clifford, to_statevector)
 
 
 def show(label, state):
     print(f"--- {label}")
     print("   ", state.dump())
-    print("    m =", support_size(state), " support =", 2 ** state.m,
+    print("    m =", state.m, " support =", 2 ** state.m,
           "basis states")
     vec = to_statevector(state)
     for idx, amp in enumerate(vec):

@@ -12,7 +12,7 @@ small width.
 
 from .affine import (AffineForm, LinForm, QuadForm, amplitude, apply_gate,
                      apply_h, apply_phase_family, init_zero, run_clifford,
-                     sum_out_var, support_size, to_statevector)
+                     sum_out_var, to_statevector)
 from .circuit import (Circuit, CircuitClass, Gate, GateKind, classify, emit,
                       gate, parse)
 from .errors import CapacityError, ClassificationError, ParseError
@@ -28,7 +28,7 @@ from .statevector import (distribution, equal_up_to_phase,
 __all__ = [
     "AffineForm", "LinForm", "QuadForm", "amplitude", "apply_gate", "apply_h",
     "apply_phase_family", "init_zero", "run_clifford", "sum_out_var",
-    "support_size", "to_statevector",
+    "to_statevector",
     "Circuit", "CircuitClass", "Gate", "GateKind", "classify", "emit", "gate",
     "parse",
     "CapacityError", "ClassificationError", "ParseError",

@@ -80,14 +80,6 @@ class LinForm:
     def __call__(self, u: np.ndarray) -> int:
         return (gf2.dot(self.coeffs, u) + self.const) % 2
 
-    def __xor__(self, other: "LinForm") -> "LinForm":
-        return LinForm(self.coeffs ^ other.coeffs, self.const ^ other.const)
-
-    def compose(self, k: np.ndarray, shift: np.ndarray) -> "LinForm":
-        """The function s -> self(k s + shift)."""
-        return LinForm(gf2.mat_mul(k.T, self.coeffs),
-                       (self.const + gf2.dot(self.coeffs, shift)) % 2)
-
 
 @dataclass(frozen=True)
 class QuadForm:
@@ -112,26 +104,6 @@ class QuadForm:
         quad = int(u @ (self.cross @ u))
         return (quad + gf2.dot(self.lin, u) + self.const) % 2
 
-    def __xor__(self, other) -> "QuadForm":
-        if isinstance(other, LinForm):
-            return QuadForm(self.cross.copy(), self.lin ^ other.coeffs,
-                            self.const ^ other.const)
-        return QuadForm(self.cross ^ other.cross, self.lin ^ other.lin,
-                        self.const ^ other.const)
-
-    def compose(self, k: np.ndarray, shift: np.ndarray) -> "QuadForm":
-        """The function s -> self(k s + shift)."""
-        shift = np.asarray(shift, dtype=np.uint8)
-        m = gf2.mat_mul(gf2.mat_mul(k.T, self.cross), k)
-        cross = np.triu(m ^ m.T, 1)
-        sym = (self.cross ^ self.cross.T)
-        lin = (np.diagonal(m).copy()
-               ^ gf2.mat_mul(k.T, gf2.mat_mul(sym, shift))
-               ^ gf2.mat_mul(k.T, self.lin))
-        const = (int(shift @ (self.cross @ shift))
-                 + gf2.dot(self.lin, shift) + self.const) % 2
-        return QuadForm(cross, lin, const)
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -146,16 +118,17 @@ def _param_vector(x: int, m: int) -> np.ndarray:
 class AffineForm:
     """The (R, t, l, q) representation of a stabilizer state.
 
-    Built from numpy pieces, ``AffineForm(n, R, t, l, q)``; ``q.cross``
-    may be any square matrix and is read as the function it denotes.
+    Built from numpy pieces of matching shapes (``ValueError``
+    otherwise), ``AffineForm(n, R, t, l, q)``; ``q.cross`` may be any
+    square matrix and is read as the function it denotes.
     Forms built by the gate updates also carry a frame, an invertible
     n x n matrix F with F R = [I_m; 0]: its first m rows read the
     parameters off a ket offset, u = F[:m] (x + t), and its other rows
     vanish exactly on the column space of R.  The updates keep it in
     step with R, so no update needs an elimination; a hand-built form
-    has none, and the next Hadamard computes it once from R.  It plays
-    no part in the state the form denotes.  Forms are immutable; see
-    the module docstring for the storage.
+    has none, and the next Hadamard (or ``amplitude``) computes one
+    from R.  It plays no part in the state the form denotes.  Forms
+    are immutable; see the module docstring for the storage.
     """
 
     __slots__ = ("n", "_m", "_rows", "_t", "_l", "_l0", "_sym", "_lin", "_q0",
@@ -163,15 +136,25 @@ class AffineForm:
                  "_frame_view", "_readout")
 
     def __init__(self, n: int, R, t, l: LinForm, q: QuadForm):
-        R = gf2.bits(R)
-        cross = gf2.bits(q.cross)
-        self.n, self._m = int(n), R.shape[1]
+        n = int(n)
+        R, t = gf2.bits(R), gf2.bits(t)
+        coeffs, cross, lin = gf2.bits(l.coeffs), gf2.bits(q.cross), gf2.bits(q.lin)
+        if n < 1:
+            raise ValueError("need at least one qubit")
+        if R.ndim != 2 or R.shape[0] != n:
+            raise ValueError(f"R must have shape ({n}, m), not {R.shape}")
+        m = R.shape[1]
+        for name, a, shape in (("t", t, (n,)), ("l.coeffs", coeffs, (m,)),
+                               ("q.cross", cross, (m, m)), ("q.lin", lin, (m,))):
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
+        self.n, self._m = n, m
         self._rows = gf2.ints(R[:, ::-1])
-        (self._t,) = gf2.ints(gf2.bits(t)[None, :])
-        (self._l,) = gf2.ints(gf2.bits(l.coeffs)[None, ::-1])
+        (self._t,) = gf2.ints(t[None, :])
+        (self._l,) = gf2.ints(coeffs[None, ::-1])
         self._l0 = int(l.const) & 1
         self._sym = gf2.ints((cross ^ cross.T)[::-1, ::-1])
-        (self._lin,) = gf2.ints((gf2.bits(q.lin) ^ np.diagonal(cross))[None, ::-1])
+        (self._lin,) = gf2.ints((lin ^ np.diagonal(cross))[None, ::-1])
         self._q0 = int(q.const) & 1
         self._cols = None
 
@@ -278,11 +261,6 @@ def init_zero(n: int) -> AffineForm:
     return _make(n, 0, [0] * n, 0, 0, 0, [], 0, 0, [1 << c for c in range(n)])
 
 
-def support_size(s: AffineForm) -> int:
-    """log2 of the number of basis states in the support."""
-    return s._m
-
-
 def bit_rows(s: AffineForm) -> tuple[list[int], int, int, int, list[int], int]:
     """(R, t, l, l0, B, lin): the form's stored bit rows and ints, in the
     bit order of the module docstring (q's constant is left out).  The
@@ -372,11 +350,12 @@ def apply_phase_family(s: AffineForm, g: Gate) -> AffineForm:
 def _frame_cols(s: AffineForm) -> list[int]:
     if s._cols is not None:
         return s._cols
+    # Row j of E, E R = [I; 0] on R's bit columns, is the frame's row at bit j.
     try:
-        f = gf2.row_reducer(s.R)
+        e = gf2.reducer_rows(s._rows, s._m)
     except ValueError:
         raise InvariantError("R does not have full column rank") from None
-    return gf2.ints(np.concatenate((f[:s._m][::-1], f[s._m:])).T)
+    return gf2.ints(gf2.bit_matrix(e, s.n).T)
 
 
 def apply_h(s: AffineForm, k: int) -> AffineForm:
@@ -583,16 +562,39 @@ def run_clifford(c: Circuit) -> AffineForm:
 
 
 def amplitude(s: AffineForm, x) -> complex:
-    """Amplitude of basis state |x>, up to the state's global phase."""
-    x = gf2.bits(x)
-    if x.shape != (s.n,):
-        raise ValueError(f"basis state must have {s.n} bits")
-    sol = gf2.solve_affine(s.R, x ^ s.t)
-    if not sol.consistent:
+    """Amplitude of basis state |x>, up to the state's global phase.
+
+    The frame gives u = F[:m](x + t), one column XOR per set bit, and
+    x is in the support iff the check rows (bits m and up) read 0.
+    The phase is i^(l.u + l0) (-1)^q(u); q's cross terms are half the
+    sum over set bits i of u of |B[i] & u|, as ``apply_h`` counts them.
+
+    Raises:
+        ValueError: if x is not one bit equal to 0 or 1 per qubit.
+        InvariantError: if a hand-built form's R lacks full column rank.
+    """
+    bits = list(x)
+    if len(bits) != s.n or not {0, 1}.issuperset(bits):
+        raise ValueError(f"basis state must be {s.n} bits, each 0 or 1")
+    cols = _frame_cols(s)
+    offset = s._t ^ sum(1 << k for k, b in enumerate(bits) if b)
+    u = 0
+    while offset:
+        low = offset & -offset
+        u ^= cols[low.bit_length() - 1]
+        offset ^= low
+    m = s._m
+    if u >> m:
         return 0j
-    u = sol.particular
-    phase = (1j ** s.l(u)) * ((-1.0) ** s.q(u))
-    return phase * 2.0 ** (-s.m / 2)
+    pairs = 0
+    y = u
+    while y:
+        low = y & -y
+        pairs += (s._sym[low.bit_length() - 1] & u).bit_count()
+        y ^= low
+    i_exp = ((s._l & u).bit_count() + s._l0) & 1
+    sign = ((pairs >> 1) + (s._lin & u).bit_count() + s._q0) & 1
+    return (1j ** i_exp) * ((-1.0) ** sign) * 2.0 ** (-m / 2)
 
 
 def to_statevector(s: AffineForm) -> np.ndarray:

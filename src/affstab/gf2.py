@@ -10,18 +10,17 @@ implementation of each elimination, a few word operations per row
 step.
 
 The numpy functions take and return uint8 arrays with entries in
-{0, 1}; ``ints`` and ``bit_matrix`` convert to and from bit rows, and
-the eliminations among them (rank, affine solves, kernels, row
-reducers, left inverses, decompositions) convert and call the int-row
-core.  Everything here is exact.
+{0, 1}; ``ints`` and ``bit_matrix`` convert to and from bit rows.  Of
+the rest, ``row_echelon`` and ``decompose_invertible`` convert and call
+the int-row core; they, ``mat_mul``, ``bits`` and ``dot`` are kept as
+numpy functions because the benchmark traces them by name and the
+tests compare against them.  Everything here is exact.
 
 All functions are pure; inputs are never mutated.  Pivots are the
 lowest-index columns and rows, so outputs are deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,10 +116,12 @@ def independent_rows(rows: list[int]) -> list[int]:
 
 
 def reducer_rows(rows: list[int], width: int) -> list[int]:
-    """``row_reducer`` on int rows: the rows (column j at bit j) of the
-    invertible E with E m = [I; 0], for the len(rows) x width matrix m.
+    """The rows (column j at bit j) of an invertible E with
+    E m = [I; 0], for the len(rows) x width matrix m given as int rows.
 
-    E is read off the reduced form of [m | I].
+    E is read off the reduced form of [m | I]: its first width rows
+    are a left inverse of m, the rest vanish exactly on the column
+    space of m.
 
     Raises:
         ValueError: if m is column-rank deficient.
@@ -180,112 +181,6 @@ def row_echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return bit_matrix(rref + [0] * (n_rows - len(rref)), n_cols), pivots
 
 
-def rank(m: np.ndarray) -> int:
-    """GF(2) rank of a binary matrix."""
-    m = np.asarray(m, dtype=np.uint8)
-    if m.size == 0:
-        return 0
-    return len(row_echelon(m)[1])
-
-
-@dataclass
-class AffineSolveResult:
-    """Solution of M x = b over GF(2).
-
-    When ``consistent``, the full solution set is
-    ``particular + span(kernel_basis)``; ``kernel_basis`` rows are a
-    linearly independent basis of the null space of M.
-    """
-
-    consistent: bool
-    particular: np.ndarray | None
-    kernel_basis: np.ndarray  # shape (dim_null, cols)
-
-
-def _kernel_from_rref(rref: np.ndarray, pivots: list[int],
-                      n_cols: int) -> np.ndarray:
-    """Null-space basis of a matrix whose first n_cols columns reduce to
-    ``rref`` with column pivots ``pivots``; one row per free column."""
-    free = np.ones(n_cols, dtype=bool)
-    free[pivots] = False
-    free_cols = np.flatnonzero(free)
-    basis = np.zeros((free_cols.size, n_cols), dtype=np.uint8)
-    basis[np.arange(free_cols.size), free_cols] = 1
-    basis[:, pivots] = rref[:len(pivots), free_cols].T
-    return basis
-
-
-def kernel_basis(m: np.ndarray) -> np.ndarray:
-    """Basis of the null space {v : Mv = 0}, as rows of a (k, cols) array.
-
-    Returns an empty (0, cols) array iff M has full column rank.
-    """
-    m = bits(m)
-    rref, pivots = row_echelon(m)
-    return _kernel_from_rref(rref, pivots, m.shape[1])
-
-
-def solve_affine(m: np.ndarray, b: np.ndarray) -> AffineSolveResult:
-    """Solve M x = b over GF(2).
-
-    One elimination of [M | b] gives the particular solution, the
-    kernel and so the rank (cols - dim kernel).
-
-    Args:
-        m: Binary matrix (rows x cols).
-        b: Binary vector of length rows.
-
-    Returns:
-        AffineSolveResult; ``particular`` has free variables set to 0.
-
-    Raises:
-        ValueError: if len(b) != rows.
-    """
-    m = bits(m)
-    b = bits(b)
-    n_rows, n_cols = m.shape
-    if b.shape != (n_rows,):
-        raise ValueError(f"right-hand side has length {b.shape}, expected {n_rows}")
-    aug = np.concatenate([m, b.reshape(-1, 1)], axis=1)
-    rref, pivots = row_echelon(aug)
-    # Reducing [M | b] reduces M the same way; a pivot in the b column
-    # (always the last pivot) is the row 0 = 1.
-    if pivots and pivots[-1] == n_cols:
-        return AffineSolveResult(False, None,
-                                 _kernel_from_rref(rref, pivots[:-1], n_cols))
-    kernel = _kernel_from_rref(rref, pivots, n_cols)
-    particular = np.zeros(n_cols, dtype=np.uint8)
-    particular[pivots] = rref[:len(pivots), n_cols]
-    return AffineSolveResult(True, particular, kernel)
-
-
-def row_reducer(m: np.ndarray) -> np.ndarray:
-    """An invertible E with E m = [I; 0] over GF(2).
-
-    E is the product of the row operations that reduce m; its first
-    cols rows are a left inverse of m, the rest vanish exactly on the
-    column space of m.  Requires full column rank.
-
-    Raises:
-        ValueError: if m is column-rank deficient.
-    """
-    m = bits(m)
-    return bit_matrix(reducer_rows(ints(m), m.shape[1]), m.shape[0])
-
-
-def left_inverse(m: np.ndarray) -> np.ndarray:
-    """A left inverse L with L m = I over GF(2).
-
-    Requires full column rank; any valid left inverse may be returned
-    (it is not unique when rows > cols).
-
-    Raises:
-        ValueError: if m is column-rank deficient.
-    """
-    m = bits(m)
-    return row_reducer(m)[:m.shape[1]].copy()
-
-
 def decompose_invertible(e: np.ndarray) -> list[tuple[int, int]]:
     """Decompose an invertible matrix into elementary row additions.
 
@@ -301,11 +196,3 @@ def decompose_invertible(e: np.ndarray) -> list[tuple[int, int]]:
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValueError("matrix is not square")
     return decompose_rows(ints(e))
-
-
-def replay_additions(ops: list[tuple[int, int]], n: int) -> np.ndarray:
-    """Apply (target, source) row additions to the n x n identity."""
-    m = np.eye(n, dtype=np.uint8)
-    for target, source in ops:
-        m[target] ^= m[source]
-    return m

@@ -11,21 +11,16 @@ classical and diagonal gates) are sampled the same way with the input
 bits drawn from the per-qubit |1>-probabilities; the diagonal gates
 contribute only phases and never touch the outcome distribution, so
 the sampler ignores them outright.
-
-The front end is pluggable: anything that can produce full-width bit
-strings with the right distribution can drive a classical suffix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from . import gf2, measure
-from .affine import AffineForm
 from .circuit import (CLASSICAL_KINDS, DIAGONAL_KINDS, Circuit, Gate,
                       GateKind, expand_swap)
 from .errors import CapacityError, ClassificationError
@@ -34,10 +29,6 @@ from .statevector import normalized_prep
 # The widest Hadamard layer ht_strong_count enumerates: the default and
 # the hard maximum of ``width_limit`` (each qubit's mask has 2^m bits).
 DEFAULT_WIDTH_LIMIT = 24
-
-# A front end draws (shots, n) bit matrices with its state's full-width
-# measurement distribution; the quoted type keeps numpy.random unloaded.
-FrontSampler = Callable[[int, "np.random.Generator"], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -129,27 +120,6 @@ def classical_part(c: Circuit) -> ClassicalFunction:
     """The classical (X/CNOT/TOFFOLI/SWAP) gates of a circuit, as a function."""
     gates = [g for g in c.gates if g.kind in CLASSICAL_KINDS]
     return ClassicalFunction.from_gates(c.n_qubits, gates)
-
-
-# ---------------------------------------------------------------------------
-# Pluggable front ends feeding a classical suffix
-
-
-def affine_form_front(state: AffineForm) -> FrontSampler:
-    """Full-width measurement samples of a stabilizer state."""
-
-    def draw(shots: int, rng: np.random.Generator) -> np.ndarray:
-        return measure.weak_sample_many(state, range(state.n), shots, rng)
-
-    return draw
-
-
-def sample_through_classical(front: FrontSampler, f: ClassicalFunction,
-                             subset, shots: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Draw inputs from ``front``, apply ``f``, keep the subset's bits."""
-    xs = front(shots, rng)
-    return eval_classical_batch(f, xs)[:, list(subset)]
 
 
 # ---------------------------------------------------------------------------

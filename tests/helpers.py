@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from affstab import Circuit, Gate, GateKind, gate
+from affstab import Circuit, Gate, GateKind, LinForm, QuadForm, gate, gf2
 
 CLIFFORD_CORE = (GateKind.H, GateKind.P, GateKind.CNOT,
                  GateKind.X, GateKind.Z, GateKind.CZ)
@@ -90,10 +90,9 @@ def random_text_circuit(rng: np.random.Generator) -> Circuit:
 
 def random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniformly random invertible GF(2) matrix, by rejection."""
-    from affstab import gf2
     while True:
         m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        if gf2.rank(m) == n:
+        if len(gf2.row_echelon(m)[1]) == n:
             return m
 
 
@@ -121,9 +120,9 @@ def histogram(rows) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Numpy references for the bit-row normal-form code: the per-gate Pauli
-# rules and the eliminations as they were on uint8 arrays, one numpy
-# step per column.
+# Numpy references for the bit-row code: the per-gate Pauli rules, the
+# eliminations as they were on uint8 arrays, one numpy step per column,
+# and the solves, kernels and substitutions built on them.
 
 
 def reference_conjugate_rows(x: np.ndarray, z: np.ndarray, e: np.ndarray, g: Gate) -> None:
@@ -217,10 +216,76 @@ def reference_decompose_invertible(e) -> list[tuple[int, int]]:
     return ops[::-1]
 
 
+def replay_additions(ops: list[tuple[int, int]], n: int) -> np.ndarray:
+    """Apply (target, source) row additions to the n x n identity."""
+    m = np.eye(n, dtype=np.uint8)
+    for target, source in ops:
+        m[target] ^= m[source]
+    return m
+
+
+def _kernel_from_rref(rref: np.ndarray, pivots: list[int], n_cols: int) -> np.ndarray:
+    """Null-space basis of a matrix whose first n_cols columns reduce to
+    ``rref`` with column pivots ``pivots``; one row per free column."""
+    free = np.ones(n_cols, dtype=bool)
+    free[pivots] = False
+    free_cols = np.flatnonzero(free)
+    basis = np.zeros((free_cols.size, n_cols), dtype=np.uint8)
+    basis[np.arange(free_cols.size), free_cols] = 1
+    basis[:, pivots] = rref[:len(pivots), free_cols].T
+    return basis
+
+
+def kernel_basis(m) -> np.ndarray:
+    """Basis of the null space {v : Mv = 0}, as rows of a (k, cols) array."""
+    rref, pivots = reference_row_echelon(m)
+    return _kernel_from_rref(rref, pivots, rref.shape[1])
+
+
+def solve_affine(m, b) -> tuple[np.ndarray | None, np.ndarray]:
+    """Solve M x = b over GF(2) with one elimination of [M | b].
+
+    Returns (particular, kernel): a solution with the free variables
+    set to 0, or None if there is none, and a basis of the null space
+    of M as rows.
+
+    Raises:
+        ValueError: if len(b) != rows.
+    """
+    m, b = gf2.bits(m), gf2.bits(b)
+    n_rows, n_cols = m.shape
+    if b.shape != (n_rows,):
+        raise ValueError(f"right-hand side has length {b.shape}, expected {n_rows}")
+    rref, pivots = reference_row_echelon(np.concatenate([m, b.reshape(-1, 1)], axis=1))
+    # A pivot in the b column (always the last pivot) is the row 0 = 1.
+    if pivots and pivots[-1] == n_cols:
+        return None, _kernel_from_rref(rref, pivots[:-1], n_cols)
+    particular = np.zeros(n_cols, dtype=np.uint8)
+    particular[pivots] = rref[:len(pivots), n_cols]
+    return particular, _kernel_from_rref(rref, pivots, n_cols)
+
+
+def compose_lin(f: LinForm, k: np.ndarray, shift: np.ndarray) -> LinForm:
+    """The function s -> f(k s + shift)."""
+    return LinForm(gf2.mat_mul(k.T, f.coeffs), (f.const + gf2.dot(f.coeffs, shift)) % 2)
+
+
+def compose_quad(q: QuadForm, k: np.ndarray, shift: np.ndarray) -> QuadForm:
+    """The function s -> q(k s + shift)."""
+    shift = np.asarray(shift, dtype=np.uint8)
+    m = gf2.mat_mul(gf2.mat_mul(k.T, q.cross), k)
+    cross = np.triu(m ^ m.T, 1)
+    sym = q.cross ^ q.cross.T
+    lin = (np.diagonal(m).copy()
+           ^ gf2.mat_mul(k.T, gf2.mat_mul(sym, shift))
+           ^ gf2.mat_mul(k.T, q.lin))
+    const = (int(shift @ (q.cross @ shift)) + gf2.dot(q.lin, shift) + q.const) % 2
+    return QuadForm(cross, lin, const)
+
+
 def reference_state_prep(s) -> tuple[tuple, tuple, tuple]:
     """(hadamard_set, linear_layer, phase_layer) of the three-round form,
     computed on numpy arrays with the references above."""
-    from affstab.affine import LinForm
     n, m, r, t = s.n, s.m, s.R, s.t
     pivot_rows = set(reference_row_echelon(r.T)[1])
     extra = [np.eye(n, dtype=np.uint8)[:, [j]] for j in range(n) if j not in pivot_rows]
@@ -230,9 +295,9 @@ def reference_state_prep(s) -> tuple[tuple, tuple, tuple]:
     aug = np.concatenate([r, np.eye(n, dtype=np.uint8)], axis=1)
     left = reference_row_echelon(aug)[0][:m, m:]
     shift = left @ t % 2
-    lin_i, quad = s.l.compose(left, shift), s.q.compose(left, shift)
+    lin_i, quad = compose_lin(s.l, left, shift), compose_quad(s.q, left, shift)
     if lin_i.const:
-        quad = quad ^ LinForm(lin_i.coeffs.copy(), 0)
+        quad = QuadForm(quad.cross, quad.lin ^ lin_i.coeffs, quad.const)
     d = lin_i.coeffs
     cz_pairs = quad.cross ^ np.triu(np.outer(d, d), 1)
     phases = [gate(GateKind.P, int(k)) for k in np.nonzero(d)[0]]
@@ -265,7 +330,7 @@ def reference_decompose_operator(c: Circuit) -> tuple[tuple, tuple, tuple]:
 def reference_enumerate_support(s, subset, cap: int) -> list:
     """The (Outcome, DyadicProb) listing of ``measure.enumerate_support``,
     from a numpy RREF of R_S^T: the route it replaced."""
-    from affstab import CapacityError, gf2
+    from affstab import CapacityError
     from affstab.measure import DyadicProb, Outcome
     subset = tuple(map(int, subset))
     r_s, t_s = s.R[list(subset)], s.t[list(subset)]

@@ -28,7 +28,8 @@ from affstab.statevector import (distribution, equal_up_to_phase,
                                  total_variation)
 from helpers import (all_subsets, histogram, random_clifford_circuit,
                      random_ht_circuit, random_invertible,
-                     random_product_front_circuit, random_text_circuit)
+                     random_product_front_circuit, random_text_circuit,
+                     replay_additions)
 from test_affine import (_annihilates, _elimination_instance,
                          _elimination_reference)
 
@@ -86,7 +87,7 @@ def test_criterion_02_variable_elimination_case_table():
             lam = int(s.l.coeffs[dead])
             ref = _elimination_reference(s, dead)
             res = sum_out_var(s, dead)
-            assert gf2.rank(res.R) == res.m
+            assert len(gf2.row_echelon(res.R)[1]) == res.m
             if lam == 1:
                 assert res.m == s.m - 1  # dead variable dropped, no constraint
                 saw_phase += 1
@@ -264,7 +265,7 @@ def test_criterion_10_infrastructure(tmp_path):
             n = int(rng.integers(1, 25))
             e = random_invertible(rng, n)
             ops = gf2.decompose_invertible(e)
-            assert np.array_equal(gf2.replay_additions(ops, n), e)
+            assert np.array_equal(replay_additions(ops, n), e)
         import io
         path = tmp_path / "ghz.cq"
         path.write_text("qubits 2\nh 0\ncnot 0 1\nmeasure 0\n")

@@ -8,12 +8,12 @@ import pytest
 
 from affstab import (AffineForm, Circuit, GateKind, amplitude, apply_gate, apply_h,
                      apply_phase_family, gate, init_zero, parse, run_clifford,
-                     sum_out_var, support_size, to_statevector)
+                     sum_out_var, to_statevector)
 from affstab import gf2
 from affstab.affine import LinForm, QuadForm, _make, _times
 from affstab.errors import ClassificationError, InvariantError
 from affstab.statevector import equal_up_to_phase, run_statevector
-from helpers import random_clifford_circuit
+from helpers import BAD_QUERIES, compose_quad, random_clifford_circuit
 
 CLIFFORD_ALL = (GateKind.H, GateKind.P, GateKind.PDG, GateKind.CNOT,
                 GateKind.X, GateKind.Z, GateKind.CZ, GateKind.SWAP)
@@ -30,7 +30,7 @@ def test_init_zero():
     assert amplitude(s, [0, 0]) == 1
     for x in ([0, 1], [1, 0], [1, 1]):
         assert amplitude(s, x) == 0
-    assert support_size(init_zero(1)) == 0
+    assert init_zero(1).m == 0
     s5 = init_zero(5)
     assert s5.m == 0 and not s5.t.any()
     with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ def test_quadform_compose_brute_force():
                      int(rng.integers(0, 2)))
         k = rng.integers(0, 2, (m_old, m_new), dtype=np.uint8)
         shift = rng.integers(0, 2, m_old, dtype=np.uint8)
-        comp = q.compose(k, shift)
+        comp = compose_quad(q, k, shift)
         for code in range(2 ** m_new):
             s = np.array([(code >> i) & 1 for i in range(m_new)], dtype=np.uint8)
             assert comp(s) == q((k @ s % 2) ^ shift)
@@ -188,7 +188,7 @@ def test_sum_out_var_random_brute_force():
             continue
         ref = _elimination_reference(s, dead)
         res = sum_out_var(s, dead)
-        assert gf2.rank(res.R) == res.m
+        assert len(gf2.row_echelon(res.R)[1]) == res.m
         got = to_statevector(res)
         assert equal_up_to_phase(ref / np.linalg.norm(ref), got, 1e-12)
         done += 1
@@ -198,7 +198,57 @@ def test_amplitude_examples():
     s = ghz()
     assert amplitude(s, [0, 1]) == 0
     assert amplitude(s, [1, 1]) == pytest.approx(2 ** -0.5)
-    assert support_size(s) == 1
+    assert s.m == 1
+
+
+def test_amplitude_refuses_other_than_one_bit_per_qubit():
+    # Reduced mod 2, [2, 0] and [0.5, 0] would answer for |00> and
+    # [3, 1] for |11>.  The shared bad queries whose outcome is at fault
+    # are asked of a state with one qubit per measured qubit.
+    cases = [(2, x) for x in ([2, 0], [0.5, 0], [3, 1])]
+    cases += [(len(subset), alpha) for subset, alpha in BAD_QUERIES
+              if len(alpha) != len(subset) or not {0, 1}.issuperset(alpha)]
+    assert len(cases) == 8
+    states = {1: run_clifford(parse("qubits 1\nh 0")), 2: ghz()}
+    for n, x in cases:
+        with pytest.raises(ValueError):
+            amplitude(states[n], x)
+
+
+def test_amplitude_matches_statevector_on_every_basis_state():
+    # Forms with a tracked frame, and frameless copies that build one
+    # from R; qubit 0 is the most significant bit of the index.
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        s = run_clifford(random_clifford_circuit(rng, n, int(rng.integers(0, 10 * n)),
+                                                 kinds=CLIFFORD_ALL))
+        vec = to_statevector(s)
+        for form in (s, AffineForm(s.n, s.R, s.t, s.l, s.q)):
+            for idx in range(2 ** n):
+                x = [idx >> (n - 1 - k) & 1 for k in range(n)]
+                assert abs(amplitude(form, x) - vec[idx]) <= 1e-12
+
+
+def _small_form(n=2, r=((1,), (0,)), t=(0, 0), l=(0,), cross=((0,),), lin=(0,)):
+    """A two-qubit, one-parameter form; any piece can be replaced."""
+    return AffineForm(n, r, t, LinForm(l), QuadForm(cross, lin))
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(n=0, r=np.zeros((0, 1)), t=()), "at least one qubit"),
+    (dict(r=(1, 0)), "R must"),
+    (dict(n=3, t=(0, 0, 0)), "R must"),
+    (dict(t=(0, 0, 0)), "t must"),
+    (dict(l=(0, 0, 0)), "l.coeffs must"),
+    (dict(cross=((0, 0), (0, 0))), "q.cross must"),
+    (dict(lin=()), "q.lin must"),
+], ids=["no-qubits", "R-not-2d", "R-rows", "t-length", "l-length", "cross-shape",
+        "lin-length"])
+def test_affine_form_checks_shapes(bad, match):
+    _small_form()  # the defaults are consistent
+    with pytest.raises(ValueError, match=match):
+        _small_form(**bad)
 
 
 def test_run_clifford_requires_clifford():
@@ -311,17 +361,23 @@ RANK_DEFICIENT_RUN = (
     "try:\n"
     "    affine.run_clifford(parse('qubits 3\\nx 2\\n'))\n"
     "except InvariantError as exc:\n"
+    "    print(exc)\n"
+    "try:\n"
+    "    affine.amplitude(broken(None, None), [0, 0, 0])\n"
+    "except InvariantError as exc:\n"
     "    print(exc)\n")
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_run_clifford_rejects_rank_deficient_final_form(flags):
-    # The closing rank check is a typed error, so it also holds under -O.
+    # The closing rank check, and the rank check of the frame amplitude
+    # builds for a hand-built form, are typed errors: they hold under -O.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, *flags, "-c", RANK_DEFICIENT_RUN], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert done.stdout == "update broke full column rank\n", done.stderr
+    assert done.stdout == ("update broke full column rank\n"
+                           "R does not have full column rank\n"), done.stderr
 
 # sha256 of dump() after run_clifford, frozen from the numpy engine the
 # bit rows replaced (seeded circuits of 10n gates of every Clifford kind).

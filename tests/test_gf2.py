@@ -1,11 +1,16 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affstab import gf2
-from helpers import (random_invertible, reference_decompose_invertible,
-                     reference_row_echelon)
+from helpers import (kernel_basis, random_invertible, reference_decompose_invertible,
+                     reference_row_echelon, replay_additions, solve_affine)
+from test_bench_names import traced_names
 
 
 def brute_rank(m: np.ndarray) -> int:
@@ -19,10 +24,21 @@ def brute_rank(m: np.ndarray) -> int:
     return size.bit_length() - 1
 
 
+def rank(m) -> int:
+    """GF(2) rank as the pivot count of ``row_echelon``."""
+    return len(gf2.row_echelon(m)[1])
+
+
+def reducer(m) -> np.ndarray:
+    """``reducer_rows`` as a bit matrix: an invertible E with E m = [I; 0]."""
+    m = np.asarray(m, dtype=np.uint8)
+    return gf2.bit_matrix(gf2.reducer_rows(gf2.ints(m), m.shape[1]), m.shape[0])
+
+
 def test_rank_examples():
-    assert gf2.rank(np.eye(2, dtype=np.uint8)) == 2
-    assert gf2.rank([[1, 1], [1, 1]]) == 1
-    assert gf2.rank([[1], [1]]) == 1
+    assert rank(np.eye(2, dtype=np.uint8)) == 2
+    assert rank([[1, 1], [1, 1]]) == 1
+    assert rank([[1], [1]]) == 1
 
 
 def test_rank_against_brute_force():
@@ -30,38 +46,40 @@ def test_rank_against_brute_force():
     for _ in range(200):
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         m = rng.integers(0, 2, size=shape, dtype=np.uint8)
-        assert gf2.rank(m) == brute_rank(m)
+        assert rank(m) == brute_rank(m)
+
+
+# The affine solve and kernel are test references (helpers.py); these
+# check them against the definitions.
 
 
 def test_solve_affine_invertible():
-    res = gf2.solve_affine([[1, 0], [1, 1]], [1, 0])
-    assert res.consistent
-    assert res.particular.tolist() == [1, 1]
-    assert res.kernel_basis.shape == (0, 2)
+    particular, kernel = solve_affine([[1, 0], [1, 1]], [1, 0])
+    assert particular.tolist() == [1, 1]
+    assert kernel.shape == (0, 2)
 
 
 def test_solve_affine_inconsistent():
-    res = gf2.solve_affine([[1], [1]], [0, 1])
-    assert not res.consistent
+    particular, _ = solve_affine([[1], [1]], [0, 1])
+    assert particular is None
 
 
 def test_solve_affine_free_variable():
-    res = gf2.solve_affine([[1, 1]], [0])
-    assert res.consistent
-    assert res.particular.tolist() == [0, 0]
-    assert res.kernel_basis.tolist() == [[1, 1]]
+    particular, kernel = solve_affine([[1, 1]], [0])
+    assert particular.tolist() == [0, 0]
+    assert kernel.tolist() == [[1, 1]]
 
 
 def test_solve_affine_dimension_mismatch():
     with pytest.raises(ValueError):
-        gf2.solve_affine([[1, 0]], [1, 0])
+        solve_affine([[1, 0]], [1, 0])
 
 
 def test_kernel_basis_cases():
-    assert gf2.kernel_basis([[1, 0], [0, 1]]).shape == (0, 2)
-    assert gf2.kernel_basis([[1, 1], [0, 0]]).tolist() == [[1, 1]]
-    zero = gf2.kernel_basis(np.zeros((2, 2), dtype=np.uint8))
-    assert zero.shape == (2, 2) and gf2.rank(zero) == 2
+    assert kernel_basis([[1, 0], [0, 1]]).shape == (0, 2)
+    assert kernel_basis([[1, 1], [0, 0]]).tolist() == [[1, 1]]
+    zero = kernel_basis(np.zeros((2, 2), dtype=np.uint8))
+    assert zero.shape == (2, 2) and rank(zero) == 2
 
 
 def test_solve_properties_random():
@@ -70,33 +88,35 @@ def test_solve_properties_random():
         rows, cols = int(rng.integers(1, 33)), int(rng.integers(1, 33))
         m = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
         b = rng.integers(0, 2, size=rows, dtype=np.uint8)
-        res = gf2.solve_affine(m, b)
-        assert res.kernel_basis.shape[0] == cols - gf2.rank(m)
-        for v in res.kernel_basis:
+        particular, kernel = solve_affine(m, b)
+        assert kernel.shape[0] == cols - rank(m)
+        for v in kernel:
             assert not gf2.mat_mul(m, v).any()
-        if res.kernel_basis.shape[0]:
-            assert gf2.rank(res.kernel_basis) == res.kernel_basis.shape[0]
-        if res.consistent:
-            assert np.array_equal(gf2.mat_mul(m, res.particular), b)
+        if kernel.shape[0]:
+            assert rank(kernel) == kernel.shape[0]
+        if particular is not None:
+            assert np.array_equal(gf2.mat_mul(m, particular), b)
         else:
-            assert gf2.rank(np.concatenate([m, b.reshape(-1, 1)], axis=1)) \
-                == gf2.rank(m) + 1
+            assert rank(np.concatenate([m, b.reshape(-1, 1)], axis=1)) == rank(m) + 1
+
+
+# The first cols rows of ``reducer_rows`` are a left inverse.
 
 
 def test_left_inverse_examples():
-    assert gf2.left_inverse(np.eye(3, dtype=np.uint8)).tolist() == \
+    assert reducer(np.eye(3, dtype=np.uint8)).tolist() == \
         np.eye(3, dtype=np.uint8).tolist()
     m = np.array([[1], [1]], dtype=np.uint8)
-    left = gf2.left_inverse(m)
+    left = reducer(m)[:1]
     assert np.array_equal(gf2.mat_mul(left, m), np.eye(1, dtype=np.uint8))
     m = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
-    left = gf2.left_inverse(m)
+    left = reducer(m)[:2]
     assert np.array_equal(gf2.mat_mul(left, m), np.eye(2, dtype=np.uint8))
 
 
 def test_left_inverse_rejects_rank_deficient():
     with pytest.raises(ValueError):
-        gf2.left_inverse([[1, 1], [1, 1]])
+        reducer([[1, 1], [1, 1]])
 
 
 def test_left_inverse_random():
@@ -106,9 +126,9 @@ def test_left_inverse_random():
         rows = cols + int(rng.integers(0, 5))
         while True:
             m = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-            if gf2.rank(m) == cols:
+            if rank(m) == cols:
                 break
-        left = gf2.left_inverse(m)
+        left = reducer(m)[:cols]
         assert np.array_equal(gf2.mat_mul(left, m), np.eye(cols, dtype=np.uint8))
 
 
@@ -119,15 +139,15 @@ def test_row_reducer_random():
         rows = max(cols, 1) + int(rng.integers(0, 5))
         while True:
             m = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-            if gf2.rank(m) == cols:
+            if rank(m) == cols:
                 break
-        e = gf2.row_reducer(m)
-        assert gf2.rank(e) == rows
+        e = reducer(m)
+        assert rank(e) == rows
         want = np.zeros((rows, cols), dtype=np.uint8)
         want[:cols] = np.eye(cols, dtype=np.uint8)
         assert np.array_equal(gf2.mat_mul(e, m), want)
     with pytest.raises(ValueError):
-        gf2.row_reducer([[1, 1], [0, 0], [1, 1]])
+        reducer([[1, 1], [0, 0], [1, 1]])
 
 
 def test_decompose_invertible_examples():
@@ -150,7 +170,7 @@ def test_decompose_invertible_replay_random():
         e = random_invertible(rng, n)
         ops = gf2.decompose_invertible(e)
         assert len(ops) <= 3 * n * n
-        assert np.array_equal(gf2.replay_additions(ops, n), e)
+        assert np.array_equal(replay_additions(ops, n), e)
 
 
 def test_ints_and_bit_matrix_round_trip():
@@ -206,4 +226,31 @@ def test_decompose_rows_matches_numpy_reference(m):
         return
     ops = gf2.decompose_rows(gf2.ints(m))
     assert ops == reference_decompose_invertible(m)
-    assert np.array_equal(gf2.replay_additions(ops, n), m)
+    assert np.array_equal(replay_additions(ops, n), m)
+
+
+def package_gf2_uses() -> set[str]:
+    """Names of gf2 the package refers to: ``gf2.<name>`` outside gf2,
+    and names loaded inside gf2 other than by the function's own def."""
+    used = set()
+    for path in Path(gf2.__file__).parent.glob("*.py"):
+        inside = path.name == "gf2.py"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if inside and isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif (not inside and isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id == "gf2"):
+                    used.add(node.attr)
+    return used
+
+
+def test_every_gf2_function_is_used_by_the_package_or_the_benchmark():
+    # A numpy front end that only tests call belongs in tests/helpers.py.
+    public = {name for name, fn in vars(gf2).items()
+              if inspect.isfunction(fn) and fn.__module__ == gf2.__name__
+              and not name.startswith("_")}
+    bench = {attr for module, attr in traced_names() if module == "gf2"}
+    assert {"rref_rows", "reducer_rows", "row_echelon"} <= public
+    assert public - package_gf2_uses() - bench == set()

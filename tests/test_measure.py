@@ -11,7 +11,7 @@ from affstab.affine import AffineForm, LinForm, QuadForm
 from affstab.measure import DyadicProb, Outcome, check_query, format_rows
 from affstab.statevector import distribution, run_statevector
 from helpers import (BAD_QUERIES, BELL_X, all_subsets, random_clifford_circuit,
-                     reference_enumerate_support)
+                     reference_enumerate_support, replay_additions, solve_affine)
 
 
 def ghz():
@@ -201,10 +201,10 @@ def test_numpy_indices_past_63_match_int_indices():
 def reference_prob(s: AffineForm, subset, alpha) -> str:
     """The route strong_prob replaced: an RREF of [R_S | alpha + t_S]."""
     subset = list(subset)
-    sol = gf2.solve_affine(s.R[subset], gf2.bits(alpha) ^ s.t[subset])
-    if not sol.consistent:
+    particular, kernel = solve_affine(s.R[subset], gf2.bits(alpha) ^ s.t[subset])
+    if particular is None:
         return str(DyadicProb.impossible())
-    return str(DyadicProb.power(s.m - sol.kernel_basis.shape[0]))
+    return str(DyadicProb.power(s.m - kernel.shape[0]))
 
 
 def hand_built(rng: np.random.Generator, n: int, m: int) -> AffineForm:
@@ -212,7 +212,7 @@ def hand_built(rng: np.random.Generator, n: int, m: int) -> AffineForm:
     columns of a random invertible matrix."""
     ops = [tuple(int(q) for q in rng.choice(n, 2, replace=False))
            for _ in range(3 * n)] if n > 1 else []
-    r = gf2.replay_additions(ops, n)[:, :m]
+    r = replay_additions(ops, n)[:, :m]
     return AffineForm(n, r, rng.integers(0, 2, n, dtype=np.uint8), LinForm.zero(m),
                       QuadForm.zero(m))
 

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from affstab import (CapacityError, Circuit, GateKind, gate, parse,
-                     run_clifford, strong_prob)
+                     run_clifford, strong_prob, weak_sample_many)
 from affstab.errors import ClassificationError
-from affstab.nearclifford import (ClassicalFunction, affine_form_front,
-                                  classical_part, eval_classical_batch,
-                                  ht_sample_batch, ht_strong_count,
-                                  product_front_batch,
-                                  sample_through_classical)
+from affstab.nearclifford import (ClassicalFunction, classical_part,
+                                  eval_classical_batch, ht_sample_batch,
+                                  ht_strong_count, product_front_batch)
 from affstab.statevector import distribution, run_statevector, total_variation
 from helpers import (BAD_QUERIES, BELL_X, CLASSICAL, random_gate,
                      random_ht_circuit, random_product_front_circuit)
@@ -275,8 +273,8 @@ def test_stabilizer_front_drives_classical_suffix():
     prefix = run_clifford(parse("qubits 3\nh 0\ncnot 0 1"))
     suffix = ClassicalFunction(3, (gate(GateKind.TOFFOLI, 0, 1, 2),))
     rng = np.random.default_rng(15)
-    rows = sample_through_classical(affine_form_front(prefix), suffix,
-                                    [2], 50_000, rng)
+    rows = eval_classical_batch(suffix, weak_sample_many(prefix, range(3), 50_000,
+                                                         rng))[:, [2]]
     # qubit 2 = AND of two perfectly correlated fair bits = fair bit
     ones = int(rows.sum())
     sigma = np.sqrt(50_000 * 0.25)

@@ -207,7 +207,7 @@ def test_decompose_beyond_oracle_width():
         s2 = run_clifford(Circuit(n, prefix + onf.gates))
         # same affine support: equal dimension, spans and shifts agree
         joint = np.concatenate([s1.R, s2.R, (s1.t ^ s2.t)[:, None]], axis=1)
-        assert s1.m == s2.m == gf2.rank(joint)
+        assert s1.m == s2.m == len(gf2.row_echelon(joint)[1])
         us = rng.integers(0, 2, (64, s1.m), dtype=np.uint8)
         points = gf2.mat_mul(us, s1.R.T) ^ s1.t
         ratios = [amplitude(s2, x) / amplitude(s1, x) for x in points]
