@@ -115,12 +115,21 @@ def _param_vector(x: int, m: int) -> np.ndarray:
     return _frozen(gf2.bit_matrix([x], m)[0, ::-1])
 
 
+def _bit_array(name: str, a) -> np.ndarray:
+    """``a`` as a uint8 array; ``ValueError`` unless every entry is 0 or 1."""
+    a = np.asarray(a)
+    if not np.isin(a, (0, 1)).all():
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return a.astype(np.uint8)
+
+
 class AffineForm:
     """The (R, t, l, q) representation of a stabilizer state.
 
-    Built from numpy pieces of matching shapes (``ValueError``
-    otherwise), ``AffineForm(n, R, t, l, q)``; ``q.cross`` may be any
-    square matrix and is read as the function it denotes.
+    Built from numpy pieces of matching shapes whose entries are 0 or 1
+    (``ValueError`` otherwise), ``AffineForm(n, R, t, l, q)``;
+    ``q.cross`` may be any square 0/1 matrix and is read as the
+    function it denotes.
     Forms built by the gate updates also carry a frame, an invertible
     n x n matrix F with F R = [I_m; 0]: its first m rows read the
     parameters off a ket offset, u = F[:m] (x + t), and its other rows
@@ -137,8 +146,9 @@ class AffineForm:
 
     def __init__(self, n: int, R, t, l: LinForm, q: QuadForm):
         n = int(n)
-        R, t = gf2.bits(R), gf2.bits(t)
-        coeffs, cross, lin = gf2.bits(l.coeffs), gf2.bits(q.cross), gf2.bits(q.lin)
+        R, t = _bit_array("R", R), _bit_array("t", t)
+        coeffs = _bit_array("l.coeffs", l.coeffs)
+        cross, lin = _bit_array("q.cross", q.cross), _bit_array("q.lin", q.lin)
         if n < 1:
             raise ValueError("need at least one qubit")
         if R.ndim != 2 or R.shape[0] != n:

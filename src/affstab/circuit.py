@@ -15,6 +15,11 @@ circuits built by this library never contain it.  ``pdg`` (inverse
 PHASE) is kept in the IR and expanded to three PHASE gates by the
 simulation passes.  Diagonal rotation angles are exact rationals
 (num, den) meaning the phase exp(i*pi*num/den) on the all-ones branch.
+
+Each gate is checked once.  ``gate`` and ``Gate(...)`` check kind,
+qubits and angle; the gates the package derives (parsed statements,
+expanded SWAP and PDG, the normal forms' layers) come from one
+unchecked constructor, ``_gate``, after their callers' own checks.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ DIAGONAL_KINDS = {
 
 PREP_NORM_TOL = 1e-12
 
+_new, _setattr = object.__new__, object.__setattr__
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -99,6 +106,16 @@ class Gate:
 
 def gate(kind: GateKind, *qubits: int, angle: tuple[int, int] | None = None) -> Gate:
     return Gate(kind, tuple(qubits), angle)
+
+
+def _gate(kind: GateKind, qubits: tuple[int, ...], angle: tuple[int, int] | None = None) -> Gate:
+    """A Gate built unchecked: the caller has proven what ``Gate`` checks,
+    with ``qubits`` a tuple of Python ints."""
+    g = _new(Gate)
+    _setattr(g, "kind", kind)
+    _setattr(g, "qubits", qubits)
+    _setattr(g, "angle", angle)
+    return g
 
 
 @dataclass(frozen=True)
@@ -174,21 +191,19 @@ def expand_swap(g: Gate) -> list[Gate]:
     """Expand SWAP into three CNOTs; other gates pass through."""
     if g.kind is not GateKind.SWAP:
         return [g]
-    a, b = g.qubits
-    return [gate(GateKind.CNOT, a, b),
-            gate(GateKind.CNOT, b, a),
-            gate(GateKind.CNOT, a, b)]
+    ab = _gate(GateKind.CNOT, g.qubits)
+    return [ab, _gate(GateKind.CNOT, g.qubits[::-1]), ab]
 
 
 def basic_clifford_gates(gates: Iterable[Gate]) -> Iterator[Gate]:
     """Yield gates with SWAP -> 3 CNOTs and PDG -> 3 PHASEs expanded."""
     for g in gates:
-        for h in expand_swap(g):
-            if h.kind is GateKind.PDG:
-                for _ in range(3):
-                    yield gate(GateKind.P, h.qubits[0])
-            else:
-                yield h
+        if g.kind is GateKind.SWAP:
+            yield from expand_swap(g)
+        elif g.kind is GateKind.PDG:
+            yield from [_gate(GateKind.P, g.qubits)] * 3
+        else:
+            yield g
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +226,6 @@ def parse(text: str) -> Circuit:
 
     # Each statement is checked once, as it is read, so the frozen Gate
     # and Circuit are built without running their __post_init__ checks.
-    new, setattr_ = object.__new__, object.__setattr__
     specs = _GATE_SPECS
     for ln, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -243,14 +257,10 @@ def parse(text: str) -> Circuit:
                 if nums[arity + 1] <= 0:
                     raise ParseError(ln, "angle denominator must be positive")
                 angle = nums[arity:]
-            g = new(Gate)
-            setattr_(g, "kind", kind)
-            setattr_(g, "qubits", qubits)
-            setattr_(g, "angle", angle)
             if kind is GateKind.SWAP:
-                gates.extend(expand_swap(g))
+                gates.extend(expand_swap(_gate(kind, qubits)))
             else:
-                gates.append(g)
+                gates.append(_gate(kind, qubits, angle))
             continue
         args = tokens[1:]
 
@@ -304,11 +314,11 @@ def parse(text: str) -> Circuit:
     if prep_pairs:
         prep = tuple(prep_pairs.get(q, (complex(1.0), complex(0.0)))
                      for q in range(n_qubits))
-    c = new(Circuit)
-    setattr_(c, "n_qubits", n_qubits)
-    setattr_(c, "gates", tuple(gates))
-    setattr_(c, "prep", prep)
-    setattr_(c, "measured", measured if measured is not None else (0,))
+    c = _new(Circuit)
+    _setattr(c, "n_qubits", n_qubits)
+    _setattr(c, "gates", tuple(gates))
+    _setattr(c, "prep", prep)
+    _setattr(c, "measured", measured if measured is not None else (0,))
     return c
 
 

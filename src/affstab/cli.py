@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import affine, measure, nearclifford, normalform, statevector
-from .circuit import Circuit, CircuitClass, GateKind, classify, gate, parse
+from .circuit import Circuit, CircuitClass, GateKind, _gate, classify, parse
 from .errors import (CapacityError, ClassificationError, InvariantError,
                      ParseError)
 
@@ -52,12 +52,12 @@ def _emit_sections(n: int, measured, sections: list[tuple[str, tuple]]) -> str:
 
 def cmd_normalize(args, out, err) -> int:
     c = _load(args.circuit)
-    if classify(c) is not CircuitClass.CLIFFORD_ONLY:
+    try:
+        nf = normalform.synthesize_state_prep(affine.run_clifford(c))
+    except ClassificationError:
         print("normalize requires a Clifford-only circuit", file=err)
         return 1
-    state = affine.run_clifford(c)
-    nf = normalform.synthesize_state_prep(state)
-    hs = tuple(gate(GateKind.H, k) for k in nf.hadamard_set)
+    hs = tuple(_gate(GateKind.H, (k,)) for k in nf.hadamard_set)
     text = _emit_sections(c.n_qubits, c.measured, [
         ("round 1", hs),
         ("round 2", nf.linear_layer),
@@ -76,11 +76,12 @@ def cmd_normalize(args, out, err) -> int:
 
 def cmd_decompose(args, out, err) -> int:
     c = _load(args.circuit)
-    if classify(c) is not CircuitClass.CLIFFORD_ONLY:
+    try:
+        onf = normalform.decompose_operator(c)
+    except ClassificationError:
         print("decompose requires a Clifford-only circuit", file=err)
         return 1
-    onf = normalform.decompose_operator(c)
-    hs = tuple(gate(GateKind.H, k) for k in onf.hadamard_set)
+    hs = tuple(_gate(GateKind.H, (k,)) for k in onf.hadamard_set)
     text = _emit_sections(c.n_qubits, c.measured, [
         ("M1", onf.m1),
         ("H", hs),

@@ -23,13 +23,14 @@ and ``conjugated_generators``, which return arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
 from .affine import AffineForm, bit_rows, check_clifford_width, run_clifford
-from .circuit import Circuit, CircuitClass, Gate, GateKind, basic_clifford_gates, classify, gate
+from .circuit import Circuit, CircuitClass, Gate, GateKind, _gate, basic_clifford_gates, classify
 from .errors import ClassificationError, InvariantError
 
 
@@ -208,7 +209,8 @@ class NormalFormState:
     phase_layer: tuple[Gate, ...]    # P, CZ and Z only
 
     def to_circuit(self, n: int, measured: tuple[int, ...] = (0,)) -> Circuit:
-        gates = tuple(gate(GateKind.H, k) for k in self.hadamard_set)
+        # operator.index keeps gate()'s check on a hand-built hadamard_set.
+        gates = tuple(_gate(GateKind.H, (operator.index(k),)) for k in self.hadamard_set)
         return Circuit(n, gates + self.linear_layer + self.phase_layer,
                        None, measured)
 
@@ -234,7 +236,7 @@ def _complete_to_invertible(r: list[int], m: int) -> list[int]:
 
 def _cnot_synthesis(e: list[int]) -> list[Gate]:
     """CNOT gates realizing the ket map |z> -> |e z>, e given by its int rows."""
-    return [gate(GateKind.CNOT, src, tgt)
+    return [_gate(GateKind.CNOT, (src, tgt))
             for tgt, src in gf2.decompose_rows(e)]
 
 
@@ -246,15 +248,15 @@ def _diagonal_gates(d: int, cross: list[int], lin_z: int) -> list[Gate]:
     corrections cancel the (-1) carries between pairs of P'd qubits:
     i^a i^b = (-1)^(ab) i^(a XOR b).
     """
-    gates = [gate(GateKind.P, k) for k in _set_bits(d)]
+    gates = [_gate(GateKind.P, (k,)) for k in _set_bits(d)]
     gates += _upper_cz([row ^ d if d >> i & 1 else row for i, row in enumerate(cross)])
-    gates += [gate(GateKind.Z, k) for k in _set_bits(lin_z)]
+    gates += [_gate(GateKind.Z, (k,)) for k in _set_bits(lin_z)]
     return gates
 
 
 def _upper_cz(rows: list[int]) -> list[Gate]:
     """CZ(i, j) for each bit j > i of row i, in row-major order."""
-    return [gate(GateKind.CZ, i, j) for i, row in enumerate(rows)
+    return [_gate(GateKind.CZ, (i, j)) for i, row in enumerate(rows)
             for j in _set_bits(row >> (i + 1) << (i + 1))]
 
 
@@ -285,7 +287,7 @@ def synthesize_state_prep(s: AffineForm) -> NormalFormState:
     r = _param_order(rows, m)
 
     linear = _cnot_synthesis(_complete_to_invertible(r, m))
-    linear += [gate(GateKind.X, k) for k in _set_bits(t)]
+    linear += [_gate(GateKind.X, (k,)) for k in _set_bits(t)]
 
     # K's rows over the ket bits, indexed like the form's parameter bits.
     left = gf2.reducer_rows(r, m)[:m][::-1]
@@ -335,7 +337,8 @@ class OperatorNormalForm:
     m2: tuple[Gate, ...]
 
     def to_circuit(self, n: int, measured: tuple[int, ...] = (0,)) -> Circuit:
-        hs = tuple(gate(GateKind.H, k) for k in self.hadamard_set)
+        # operator.index keeps gate()'s check on a hand-built hadamard_set.
+        hs = tuple(_gate(GateKind.H, (operator.index(k),)) for k in self.hadamard_set)
         return Circuit(n, self.m1 + hs + self.m2, None, measured)
 
 
@@ -359,9 +362,10 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
     invertible matrix; M1 imprints the tau phase data (P for i factors,
     Z for signs, CZ for the reordering carries) and routes through that
     matrix with CNOTs.
+
+    Raises:
+        ClassificationError: if the circuit is not Clifford-only.
     """
-    if classify(c) is not CircuitClass.CLIFFORD_ONLY:
-        raise ClassificationError("circuit is not Clifford-only")
     nf = synthesize_state_prep(run_clifford(c))
     m2 = nf.linear_layer + nf.phase_layer
 
@@ -378,8 +382,8 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
         raise InvariantError("extracted ket map must be invertible") from None
 
     m1: list[Gate] = []
-    m1 += [gate(GateKind.P, i) for i in _set_bits(st.lo)]
-    m1 += [gate(GateKind.Z, i) for i in _set_bits(st.hi)]
+    m1 += [_gate(GateKind.P, (i,)) for i in _set_bits(st.lo)]
+    m1 += [_gate(GateKind.Z, (i,)) for i in _set_bits(st.hi)]
     # CZ (i, j), i < j, where zpart_i . xpart_j = 1: row i of Z X^T is the
     # XOR of the x columns of the qubits in zpart_i.
     zx = [0] * c.n_qubits

@@ -243,8 +243,14 @@ def _small_form(n=2, r=((1,), (0,)), t=(0, 0), l=(0,), cross=((0,),), lin=(0,)):
     (dict(l=(0, 0, 0)), "l.coeffs must"),
     (dict(cross=((0, 0), (0, 0))), "q.cross must"),
     (dict(lin=()), "q.lin must"),
+    (dict(r=((2,), (0,))), "R entries must be 0 or 1"),
+    (dict(t=(0.5, 0)), "t entries must be 0 or 1"),
+    (dict(l=(-1,)), "l.coeffs entries must be 0 or 1"),
+    (dict(cross=((3,),)), "q.cross entries must be 0 or 1"),
+    (dict(lin=(2,)), "q.lin entries must be 0 or 1"),
 ], ids=["no-qubits", "R-not-2d", "R-rows", "t-length", "l-length", "cross-shape",
-        "lin-length"])
+        "lin-length", "R-entry-2", "t-entry-half", "l-entry-negative", "cross-entry-3",
+        "lin-entry-2"])
 def test_affine_form_checks_shapes(bad, match):
     _small_form()  # the defaults are consistent
     with pytest.raises(ValueError, match=match):

@@ -134,10 +134,19 @@ def test_normalize_output_reparses_and_checks(tmp_path):
     assert "reproduced" in err
 
 
+ORACLE_ONLY = "qubits 3\nh 0\ntoffoli 0 1 2\nh 2\nmeasure 2\n"
+WIDE_HT = f"qubits {MAX_CLIFFORD_QUBITS + 1}\nh 0\nh 1\ntoffoli 0 1 2\n"
+
+
 def test_normalize_requires_clifford(tmp_path):
-    path = circuit_file(tmp_path, "ht.cq", HT)
-    status, _, err = run(["normalize", path])
-    assert status == 1
+    # Both verbs refuse with exit 1 before any work, whatever the width:
+    # the Clifford check comes before the width cap.
+    for name, text in [("ht", HT), ("product", PRODUCT), ("oracle", ORACLE_ONLY),
+                       ("wide-ht", WIDE_HT)]:
+        path = circuit_file(tmp_path, name + ".cq", text)
+        for verb in ("normalize", "decompose"):
+            want = (1, "", f"{verb} requires a Clifford-only circuit\n")
+            assert run([verb, path]) == want, (verb, name)
 
 
 def test_decompose_sections_and_check(tmp_path):
