@@ -26,7 +26,7 @@ indexed by bit.  The frame (below) is n ints, column c of F holding
 F[i, c] at bit m-1-i for the m parameter rows and at bit i for the
 other rows.  The attributes ``R``, ``t``, ``l``, ``q`` and ``frame``
 are numpy views, built on first read, cached and read-only; the lists
-behind them are never changed after a form is built.  Measurement reads
+behind them are never changed after a form is returned.  Measurement reads
 the rows themselves: ``subset_rows`` gives R_S as the row ints of the
 measured qubits (same bit order) and t_S as one 0/1 int per qubit;
 the normal forms read all of them through ``bit_rows``.  One more
@@ -35,16 +35,21 @@ the last measured subset, set on first query, which depends only on
 the form and the subset, so nothing ever invalidates it.
 
 Cost per gate, in operations on ints of at most n bits (one machine
-word per 64 bits): X and Z, O(1); CNOT, O(1) plus copying the two lists
-of n references it changes; P and CZ, one XOR of a row of B per set
-bit of the two affine functions multiplied, O(m).  A Hadamard runs no
-elimination: the frame, an invertible F with F R = [I_m; 0] kept in
-step with R by every update, tells from one column whether the widened
-system loses rank and, if so, gives its kernel vector.  Updating F is
-one pass of a few operations over its n columns; a Hadamard that drops
-a parameter also renumbers the n rows of R and the m rows of B, one
-pass each.  Updates return a new form sharing every list the gate
-leaves unchanged.
+word per 64 bits): X, Z and CNOT, O(1); P and CZ, one XOR of a row of
+B per set bit of the two affine functions multiplied, O(m).  A
+Hadamard runs no elimination: the frame, an invertible F with
+F R = [I_m; 0] kept in step with R by every update, tells from one
+column whether the widened system loses rank and, if so, gives its
+kernel vector.  Updating F is one pass of a few operations over its n
+columns; a Hadamard that drops a parameter also renumbers the n rows
+of R and the m rows of B, one pass each.
+
+``run_clifford`` folds every gate but H into one form in place, so
+those costs are all it pays.  The public updates (``apply_gate``,
+``apply_phase_family``, ``apply_h``, ``sum_out_var``) return a new form
+sharing every list the gate leaves unchanged; the lists a gate does
+change are copied first (O(n) for CNOT, O(m) for P and CZ), and a
+Hadamard builds all of its lists anew.
 
 Full column rank of R is checked where it costs nothing extra: each
 rank-deficient Hadamard checks R u = e_k in row k, a hand-built form
@@ -61,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .circuit import Circuit, CircuitClass, Gate, GateKind, basic_clifford_gates, classify
+from .circuit import Circuit, CircuitClass, Gate, GateKind, classify
 from .errors import CapacityError, ClassificationError, InvariantError
 from .statevector import MAX_QUBITS
 
@@ -135,9 +140,10 @@ class AffineForm:
     parameters off a ket offset, u = F[:m] (x + t), and its other rows
     vanish exactly on the column space of R.  The updates keep it in
     step with R, so no update needs an elimination; a hand-built form
-    has none, and the next Hadamard (or ``amplitude``) computes one
-    from R.  It plays no part in the state the form denotes.  Forms
-    are immutable; see the module docstring for the storage.
+    has none until its first Hadamard (or ``amplitude``) computes one
+    from R and keeps it.  It plays no part in the state the form
+    denotes.  Forms are immutable; see the module docstring for the
+    storage.
     """
 
     __slots__ = ("n", "_m", "_rows", "_t", "_l", "_l0", "_sym", "_lin", "_q0",
@@ -217,12 +223,11 @@ class AffineForm:
         try:
             return self._frame_view
         except AttributeError:
-            f = None
-            if self._cols is not None:
-                f = gf2.bit_matrix(self._cols, self.n).T
-                f = _frozen(np.concatenate((f[:self._m][::-1], f[self._m:])))
-            self._frame_view = f
-            return f
+            if self._cols is None:
+                return None   # not cached: amplitude or apply_h may store one
+            f = gf2.bit_matrix(self._cols, self.n).T
+            self._frame_view = _frozen(np.concatenate((f[:self._m][::-1], f[self._m:])))
+            return self._frame_view
 
     def dump(self) -> str:
         """Debug view of (R, t, l, q); format carries no compatibility promise."""
@@ -290,14 +295,14 @@ def subset_rows(s: AffineForm, qubits) -> tuple[list[int], list[int]]:
 
 
 def _times(sym: list[int], lin: int, q0: int, a: int, a0: int, b: int,
-           b0: int) -> tuple[list[int], int, int]:
+           b0: int) -> tuple[int, int]:
     """q + (a.u + a0)(b.u + b0), q given as (B rows, lin, const).
 
-    The cross terms add a b^T + b a^T to B; its diagonal cancels, and
-    the squares a_i b_i u_i go to the linear part.
+    The cross terms add a b^T + b a^T to B, in place in ``sym``; its
+    diagonal cancels, and the squares a_i b_i u_i go to the linear
+    part.  Returns the new (lin, const).
     """
     if a and b:
-        sym = sym.copy()
         x = a
         while x:
             low = x & -x
@@ -313,7 +318,76 @@ def _times(sym: list[int], lin: int, q0: int, a: int, a0: int, b: int,
         lin ^= b
     if b0:
         lin ^= a
-    return sym, lin, q0 ^ (a0 & b0)
+    return lin, q0 ^ (a0 & b0)
+
+
+# The kinds as module names: one global load each in the per-gate dispatch.
+_H, _P, _PDG, _X, _Z = GateKind.H, GateKind.P, GateKind.PDG, GateKind.X, GateKind.Z
+_CNOT, _CZ, _SWAP = GateKind.CNOT, GateKind.CZ, GateKind.SWAP
+_PHASE_FAMILY = frozenset((_P, _X, _Z, _CZ, _CNOT))
+
+
+def _fold(s: AffineForm, kind: GateKind, qubits: tuple[int, ...]) -> None:
+    """Apply a Clifford gate other than H to ``s`` in place; m never
+    changes.  PDG is three P gates and SWAP three CNOTs.
+
+    The phase-family rules, kept once: ``run_clifford`` runs them on
+    the form it owns, the public updates on a copy (``_folded``).
+    CNOT and SWAP change the rows of R and the frame, P, PDG and CZ the
+    rows of B; every other piece is an int.
+    """
+    if kind is _CNOT:
+        c, d = qubits
+        rows = s._rows
+        rows[d] ^= rows[c]
+        t = s._t
+        s._t = t ^ ((t >> c & 1) << d)
+        cols = s._cols
+        if cols is not None:
+            # R -> E R with E = E^-1 adding row c to row d, so F -> F E.
+            cols[c] ^= cols[d]
+    elif kind is _P:
+        (k,) = qubits
+        x, x0 = s._rows[k], s._t >> k & 1
+        # i^l * i^xk = (-1)^(l*xk) * i^(l+xk)
+        s._lin, s._q0 = _times(s._sym, s._lin, s._q0, s._l, s._l0, x, x0)
+        s._l ^= x
+        s._l0 ^= x0
+    elif kind is _CZ:
+        a, b = qubits
+        rows, t = s._rows, s._t
+        s._lin, s._q0 = _times(s._sym, s._lin, s._q0, rows[a], t >> a & 1,
+                               rows[b], t >> b & 1)
+    elif kind is _Z:
+        (k,) = qubits
+        s._lin ^= s._rows[k]
+        s._q0 ^= s._t >> k & 1
+    elif kind is _X:
+        (k,) = qubits
+        s._t ^= 1 << k
+    elif kind is _PDG:
+        for _ in range(3):
+            _fold(s, _P, qubits)
+    elif kind is _SWAP:
+        a, b = qubits
+        for pair in (qubits, (b, a), qubits):
+            _fold(s, _CNOT, pair)
+    else:
+        raise ValueError(f"not a phase-family gate: {kind.value}")
+
+
+def _folded(s: AffineForm, g: Gate) -> AffineForm:
+    """``s`` with ``g`` (not H) applied, as a new form: the lists ``g``
+    changes are copied first, and the others are shared with ``s``."""
+    kind, rows, sym, cols = g.kind, s._rows, s._sym, s._cols
+    if kind is _CNOT or kind is _SWAP:
+        rows = rows.copy()
+        cols = None if cols is None else cols.copy()
+    elif kind is _P or kind is _PDG or kind is _CZ:
+        sym = sym.copy()
+    out = _make(s.n, s._m, rows, s._t, s._l, s._l0, sym, s._lin, s._q0, cols)
+    _fold(out, kind, g.qubits)
+    return out
 
 
 def apply_phase_family(s: AffineForm, g: Gate) -> AffineForm:
@@ -321,51 +395,22 @@ def apply_phase_family(s: AffineForm, g: Gate) -> AffineForm:
 
     The result shares every list the gate leaves unchanged with ``s``.
     """
-    kind = g.kind
-    t = s._t
-    if kind is GateKind.CNOT:
-        c, d = g.qubits
-        rows = s._rows.copy()
-        rows[d] ^= rows[c]
-        cols = s._cols
-        if cols is not None:
-            # R -> E R with E = E^-1 adding row c to row d, so F -> F E.
-            cols = cols.copy()
-            cols[c] ^= cols[d]
-        return _make(s.n, s._m, rows, t ^ ((t >> c & 1) << d), s._l, s._l0,
-                     s._sym, s._lin, s._q0, cols)
-    if kind is GateKind.P:
-        (k,) = g.qubits
-        x, x0 = s._rows[k], t >> k & 1
-        # i^l * i^xk = (-1)^(l*xk) * i^(l+xk)
-        sym, lin, q0 = _times(s._sym, s._lin, s._q0, s._l, s._l0, x, x0)
-        return _make(s.n, s._m, s._rows, t, s._l ^ x, s._l0 ^ x0,
-                     sym, lin, q0, s._cols)
-    if kind is GateKind.CZ:
-        a, b = g.qubits
-        sym, lin, q0 = _times(s._sym, s._lin, s._q0, s._rows[a], t >> a & 1,
-                              s._rows[b], t >> b & 1)
-    elif kind is GateKind.Z:
-        (k,) = g.qubits
-        sym, lin, q0 = s._sym, s._lin ^ s._rows[k], s._q0 ^ (t >> k & 1)
-    elif kind is GateKind.X:
-        (k,) = g.qubits
-        return _make(s.n, s._m, s._rows, t ^ (1 << k), s._l, s._l0,
-                     s._sym, s._lin, s._q0, s._cols)
-    else:
-        raise ValueError(f"not a phase-family gate: {kind.value}")
-    return _make(s.n, s._m, s._rows, t, s._l, s._l0, sym, lin, q0, s._cols)
+    if g.kind not in _PHASE_FAMILY:
+        raise ValueError(f"not a phase-family gate: {g.kind.value}")
+    return _folded(s, g)
 
 
 def _frame_cols(s: AffineForm) -> list[int]:
-    if s._cols is not None:
-        return s._cols
-    # Row j of E, E R = [I; 0] on R's bit columns, is the frame's row at bit j.
-    try:
-        e = gf2.reducer_rows(s._rows, s._m)
-    except ValueError:
-        raise InvariantError("R does not have full column rank") from None
-    return gf2.ints(gf2.bit_matrix(e, s.n).T)
+    """The frame's columns; a form without one gets one from R and keeps it."""
+    cols = s._cols
+    if cols is None:
+        # Row j of E, E R = [I; 0] on R's bit columns, is the frame's row at bit j.
+        try:
+            e = gf2.reducer_rows(s._rows, s._m)
+        except ValueError:
+            raise InvariantError("R does not have full column rank") from None
+        cols = s._cols = gf2.ints(gf2.bit_matrix(e, s.n).T)
+    return cols
 
 
 def apply_h(s: AffineForm, k: int) -> AffineForm:
@@ -393,7 +438,8 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
         top = 1 << m
         rows = rows.copy()
         rows[k] = top
-        sym, lin, q0 = _times(s._sym + [0], s._lin, s._q0, top, 0, r, tk)
+        sym = s._sym + [0]
+        lin, q0 = _times(sym, s._lin, s._q0, top, 0, r, tk)
         return _make(n, m + 1, rows, t & ~(1 << k), s._l, s._l0, sym, lin, q0,
                      _grown_frame(cols, col, r, m))
 
@@ -426,8 +472,9 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
     rows[k] = top
     wide = [(x & low) | (x >> 1 & high) for x in sym]
     del wide[p]
-    wide, lin, q0 = _times(wide + [0], (s._lin & low) | (s._lin >> 1 & high), s._q0,
-                           top, 0, (r & low) | (r >> 1 & high), tk)
+    wide.append(0)
+    lin, q0 = _times(wide, (s._lin & low) | (s._lin >> 1 & high), s._q0,
+                     top, 0, (r & low) | (r >> 1 & high), tk)
     out = _sum_out(n, m, rows, t & ~(1 << k), lam, top | (bu & low) | (bu >> 1 & high),
                    g0, (s._l & low) | (s._l >> 1 & high), s._l0, wide, lin, q0)
     out._cols = _shrunk_frame(cols, u, r, bu, p, m, lam)
@@ -515,7 +562,7 @@ def _sum_out(n: int, m: int, rows: list[int], t: int, lam: int, g: int, g0: int,
     """The case table of ``sum_out_var``, given its pieces over the m
     live parameters: l = (l, l0) is lt and (sym, lin, q0) is h."""
     if lam:
-        sym, lin, q0 = _times(sym, lin, q0, g, g0, l, l0 ^ 1)
+        lin, q0 = _times(sym, lin, q0, g, g0, l, l0 ^ 1)
         return _make(n, m, rows, t, g, g0, sym, lin, q0, None)
     if not g:
         if g0:
@@ -534,28 +581,26 @@ def _sum_out(n: int, m: int, rows: list[int], t: int, lam: int, g: int, g0: int,
     hf = sym[f]
     sym = [(x & low) | (x >> 1 & high) for x in sym]
     del sym[f]
-    sym, lin2, q0 = _times(sym, (lin & low) | (lin >> 1 & high), q0, a, g0,
-                           (hf & low) | (hf >> 1 & high), lin >> f & 1)
+    lin2, q0 = _times(sym, (lin & low) | (lin >> 1 & high), q0, a, g0,
+                      (hf & low) | (hf >> 1 & high), lin >> f & 1)
     return _make(n, m - 1, rows, t,
                  ((l & low) | (l >> 1 & high)) ^ (a if lf else 0), l0 ^ (lf & g0),
                  sym, lin2, q0, None)
 
 
-_EXPANDED = (GateKind.PDG, GateKind.SWAP)
-
-
 def apply_gate(s: AffineForm, g: Gate) -> AffineForm:
     """Apply any Clifford gate (PDG and SWAP are expanded first)."""
-    for basic in basic_clifford_gates([g]) if g.kind in _EXPANDED else (g,):
-        if basic.kind is GateKind.H:
-            s = apply_h(s, basic.qubits[0])
-        else:
-            s = apply_phase_family(s, basic)
-    return s
+    if g.kind is _H:
+        return apply_h(s, g.qubits[0])
+    return _folded(s, g)
 
 
 def run_clifford(c: Circuit) -> AffineForm:
     """Fold the gate updates over |0...0> for a Clifford-only circuit.
+
+    One form takes every gate but H in place (``_fold``).  Each
+    Hadamard goes through ``apply_h``, whose result is built from new
+    lists, so the fold then owns that form.
 
     Raises:
         ClassificationError: if the circuit is not Clifford-only.
@@ -565,7 +610,11 @@ def run_clifford(c: Circuit) -> AffineForm:
         raise ClassificationError("circuit is not Clifford-only")
     s = init_zero(c.n_qubits)
     for g in c.gates:
-        s = apply_gate(s, g)
+        kind = g.kind
+        if kind is _H:
+            s = apply_h(s, g.qubits[0])
+        else:
+            _fold(s, kind, g.qubits)
     if len(gf2.independent_rows(s._rows)) != s._m:
         raise InvariantError("update broke full column rank")
     return s

@@ -20,6 +20,8 @@ Each gate is checked once.  ``gate`` and ``Gate(...)`` check kind,
 qubits and angle; the gates the package derives (parsed statements,
 expanded SWAP and PDG, the normal forms' layers) come from one
 unchecked constructor, ``_gate``, after their callers' own checks.
+Likewise ``_circuit`` builds the circuits of ``parse`` and of the
+CLI's ``--qubits``, whose gates are already checked.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ class GateKind(enum.Enum):
     TOFFOLI = "toffoli"
     ZROT = "zrot"
     CZROT = "czrot"
+
+    # Members are singletons compared by identity, so they can hash by
+    # identity too, in C; ``Enum.__hash__`` is a Python call per lookup.
+    __hash__ = object.__hash__
 
 
 ARITY = {
@@ -148,11 +154,28 @@ class Circuit:
                 if not abs(norm2 - 1.0) <= PREP_NORM_TOL:  # also rejects nan
                     raise ValueError(
                         f"prep pair not normalized: |a|^2+|b|^2 = {norm2!r}")
-        if len(set(self.measured)) != len(self.measured):
-            raise ValueError("measured qubits must be distinct")
-        for q in self.measured:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"measured qubit {q} out of range")
+        _check_measured(self.n_qubits, self.measured)
+
+
+def _check_measured(n_qubits: int, measured: tuple[int, ...]) -> None:
+    """``Circuit``'s check of the measured qubits, on their own."""
+    if len(set(measured)) != len(measured):
+        raise ValueError("measured qubits must be distinct")
+    for q in measured:
+        if not 0 <= q < n_qubits:
+            raise ValueError(f"measured qubit {q} out of range")
+
+
+def _circuit(n_qubits: int, gates: tuple[Gate, ...], prep,
+             measured: tuple[int, ...]) -> Circuit:
+    """A Circuit built unchecked: the caller has proven what ``Circuit``
+    checks."""
+    c = _new(Circuit)
+    _setattr(c, "n_qubits", n_qubits)
+    _setattr(c, "gates", gates)
+    _setattr(c, "prep", prep)
+    _setattr(c, "measured", measured)
+    return c
 
 
 class CircuitClass(enum.Enum):
@@ -314,12 +337,7 @@ def parse(text: str) -> Circuit:
     if prep_pairs:
         prep = tuple(prep_pairs.get(q, (complex(1.0), complex(0.0)))
                      for q in range(n_qubits))
-    c = _new(Circuit)
-    _setattr(c, "n_qubits", n_qubits)
-    _setattr(c, "gates", tuple(gates))
-    _setattr(c, "prep", prep)
-    _setattr(c, "measured", measured if measured is not None else (0,))
-    return c
+    return _circuit(n_qubits, tuple(gates), prep, measured if measured is not None else (0,))
 
 
 # mnemonic -> (kind, qubit count, argument count)

@@ -14,13 +14,14 @@ Identical argv (including --seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import sys
 
 import numpy as np
 
 from . import affine, measure, nearclifford, normalform, statevector
-from .circuit import Circuit, CircuitClass, GateKind, _gate, classify, parse
+from .circuit import (Circuit, CircuitClass, GateKind, _check_measured, _circuit, _gate,
+                      classify, parse)
 from .errors import (CapacityError, ClassificationError, InvariantError,
                      ParseError)
 
@@ -33,9 +34,13 @@ def _load(path: str) -> Circuit:
 
 
 def _with_measured(c: Circuit, qubits) -> Circuit:
+    """``c`` measuring ``qubits``; only they need checking, as ``parse``
+    checked the rest."""
     if qubits is None:
         return c
-    return dataclasses.replace(c, measured=tuple(qubits))
+    measured = tuple(qubits)
+    _check_measured(c.n_qubits, measured)
+    return _circuit(c.n_qubits, c.gates, c.prep, measured)
 
 
 def _emit_sections(n: int, measured, sections: list[tuple[str, tuple]]) -> str:
@@ -254,12 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# One parser per process: ``parse_args`` keeps no state in the parser
+# (each call fills a fresh Namespace), and building one takes about a
+# millisecond and leaves some 220 objects in reference cycles.
+_shared_parser = functools.cache(build_parser)
+
+
 def run_command(argv, out=None, err=None) -> int:
     """Dispatch one CLI invocation; returns the exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

@@ -38,7 +38,8 @@ def test_init_zero():
 
 
 def test_linform_product_brute_force():
-    # q + a*b on the bit rows (``_times``), read back through the q view.
+    # q + a*b on the bit rows (``_times``, which adds to B's rows in
+    # place), read back through the q view.
     rng = np.random.default_rng(4)
     for _ in range(200):
         m = int(rng.integers(0, 6))
@@ -49,9 +50,10 @@ def test_linform_product_brute_force():
         q = QuadForm(np.triu(rng.integers(0, 2, (m, m), dtype=np.uint8), 1),
                      rng.integers(0, 2, m, dtype=np.uint8), int(rng.integers(0, 2)))
         sa, sb = AffineForm(n, r, t, a, q), AffineForm(n, r, t, b, q)
-        sym, lin, q0 = _times(sa._sym, sa._lin, sa._q0, sa._l, sa._l0, sb._l, sb._l0)
+        sym = sa._sym.copy()
+        lin, q0 = _times(sym, sa._lin, sa._q0, sa._l, sa._l0, sb._l, sb._l0)
         prod = _make(n, m, sa._rows, sa._t, 0, 0, sym, lin, q0, None).q
-        assert np.array_equal(sa.q.cross, q.cross)  # the input rows are unchanged
+        assert np.array_equal(sa.q.cross, q.cross)  # only the copy changed
         for code in range(2 ** m):
             u = np.array([(code >> i) & 1 for i in range(m)], dtype=np.uint8)
             assert prod(u) == (q(u) + a(u) * b(u)) % 2
@@ -230,6 +232,29 @@ def test_amplitude_matches_statevector_on_every_basis_state():
                 assert abs(amplitude(form, x) - vec[idx]) <= 1e-12
 
 
+def test_hand_built_form_keeps_the_frame_it_builds(monkeypatch):
+    # A form built without a frame eliminates once, at its first
+    # amplitude, and keeps the frame; the frame view then shows it.
+    rng = np.random.default_rng(43)
+    s = run_clifford(random_clifford_circuit(rng, 12, 120, kinds=CLIFFORD_ALL))
+    form = AffineForm(s.n, s.R, s.t, s.l, s.q)
+    assert form.frame is None
+    real, calls = gf2.reducer_rows, []
+
+    def counting(rows, m):
+        calls.append(m)
+        return real(rows, m)
+
+    monkeypatch.setattr(gf2, "reducer_rows", counting)
+    x = [int(b) for b in rng.integers(0, 2, s.n)]
+    x_in = [int(b) for b in (s.R @ rng.integers(0, 2, s.m) + s.t) % 2]
+    first = [amplitude(form, x), amplitude(form, x_in)]
+    assert first == [amplitude(form, x), amplitude(form, x_in)]
+    assert first == [amplitude(s, x), amplitude(s, x_in)] and first[1] != 0
+    assert calls == [s.m]
+    assert np.array_equal(gf2.mat_mul(form.frame, form.R), np.eye(s.n, s.m, dtype=np.uint8))
+
+
 def _small_form(n=2, r=((1,), (0,)), t=(0, 0), l=(0,), cross=((0,),), lin=(0,)):
     """A two-qubit, one-parameter form; any piece can be replaced."""
     return AffineForm(n, r, t, LinForm(l), QuadForm(cross, lin))
@@ -358,14 +383,14 @@ RANK_DEFICIENT_RUN = (
     "import numpy as np\n"
     "from affstab import AffineForm, LinForm, QuadForm, affine, parse\n"
     "from affstab.errors import InvariantError\n"
-    "def broken(s, g):\n"
+    "def broken(s, k):\n"
     "    # Two equal columns: m = 2, rank 1.\n"
     "    r = np.array([[1, 1], [1, 1], [0, 0]], dtype=np.uint8)\n"
     "    return AffineForm(3, r, np.zeros(3, dtype=np.uint8), LinForm.zero(2),\n"
     "                      QuadForm.zero(2))\n"
-    "affine.apply_gate = broken\n"
+    "affine.apply_h = broken\n"
     "try:\n"
-    "    affine.run_clifford(parse('qubits 3\\nx 2\\n'))\n"
+    "    affine.run_clifford(parse('qubits 3\\nh 2\\n'))\n"
     "except InvariantError as exc:\n"
     "    print(exc)\n"
     "try:\n"

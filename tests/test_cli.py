@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -450,3 +451,102 @@ def test_normal_forms_match_golden_hashes(tmp_path, name):
         status, out, _ = run(argv)
         digest.update(f"{argv[2:]} {status}\n{out}".encode())
     assert digest.hexdigest() == GOLDEN_NORMAL_FORMS[name]
+
+
+@pytest.mark.parametrize("verb", ["sample", "prob"])
+def test_qubits_option_is_checked_like_a_measure_line(tmp_path, verb):
+    # --qubits is checked on its own, with Circuit's messages, and
+    # otherwise acts as the file's measure line.
+    path = circuit_file(tmp_path, "ghz3.cq", "qubits 3\nh 0\ncnot 0 1\ncnot 1 2\n")
+    for qubits, message in ((["1", "1"], "measured qubits must be distinct"),
+                            (["3", "3"], "measured qubits must be distinct"),
+                            (["0", "3"], "measured qubit 3 out of range"),
+                            (["-1"], "measured qubit -1 out of range")):
+        assert run([verb, path, "--qubits", *qubits]) == (1, "", f"error: {message}\n")
+    measured = circuit_file(tmp_path, "ghz3m.cq",
+                            "qubits 3\nh 0\ncnot 0 1\ncnot 1 2\nmeasure 2 0\n")
+    for extra in ([], ["--shots", "20", "--seed", "3"] if verb == "sample" else
+                  ["--outcome", "11"]):
+        want = run([verb, measured, *extra])
+        assert want[0] == 0 and want[1]
+        assert run([verb, path, "--qubits", "2", "0", *extra]) == want
+        assert run([verb, measured, "--qubits", "2", "0", *extra]) == want
+
+
+def in_process(argv):
+    """``run_command`` writing to the process streams, as ``main`` does."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run_command(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_answers_like_fresh_processes(tmp_path, monkeypatch):
+    # One process reuses one argparse parser; every call, argparse errors
+    # and --help included, must print what a fresh process prints.
+    monkeypatch.setenv("COLUMNS", "80")
+    ghz = circuit_file(tmp_path, "ghz2.cq", GHZ)
+    ht = circuit_file(tmp_path, "ht.cq", HT)
+    pf = circuit_file(tmp_path, "pf.cq", PRODUCT)
+    sequence = [
+        ["sample", ghz, "--shots", "5", "--seed", "2", "--qubits", "1", "0"],
+        ["sample", ghz, "--shots", "5", "--seed", "2"],
+        ["prob", ghz, "--qubits", "0", "1", "--outcome", "11"],
+        ["prob", ghz],
+        ["prob", ghz, "--outcome", "012"],
+        ["sample", ghz, "--bogus"],
+        [],
+        ["normalize", ghz, "--check"],
+        ["decompose", ghz],
+        ["normalize", ghz],
+        ["verify", ht, "--limit", "2"],
+        ["prob", ht, "--outcome", "1"],
+        ["sample", pf, "--shots", "3"],
+        ["verify", str(tmp_path / "missing.cq")],
+        ["prob", "--help"],
+        ["prob", ghz, "--qubits", "0", "1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                   os.pardir, "src"))
+    for argv in sequence:
+        done = subprocess.run([sys.executable, "-m", "affstab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert in_process(argv) == (done.returncode, done.stdout, done.stderr), argv
+    assert {status for status, _, _ in map(in_process, sequence)} == {0, 1}
+
+
+HASH_SEED_SCRIPT = """
+import hashlib, io, sys
+from affstab.cli import run_command
+digest = hashlib.sha256()
+for argv in [line.split("\\t") for line in sys.stdin.read().splitlines()]:
+    out, err = io.StringIO(), io.StringIO()
+    status = run_command(argv, out, err)
+    digest.update(f"{argv} {status}\\n{out.getvalue()}\\n{err.getvalue()}".encode())
+print(digest.hexdigest())
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # GateKind hashes by identity, and strings by a per-process seed;
+    # no output may depend on either through set or dict order.
+    rng = np.random.default_rng(89)
+    files = {name: circuit_file(tmp_path, f"{name}.cq", emit(c)) for name, c in (
+        ("clifford", random_clifford_circuit(rng, 8, 80)),
+        ("ht", random_ht_circuit(rng, 8, 6, 40)),
+        ("pf", random_product_front_circuit(rng, 6, 40)))}
+    argvs = []
+    for name, path in files.items():
+        argvs += [["sample", path, "--shots", "50", "--seed", "4"], ["verify", path],
+                  ["prob", path], ["prob", path, "--outcome", "1"],
+                  ["normalize", path], ["decompose", path, "--check"]]
+    script = "\n".join("\t".join(argv) for argv in argvs)
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], input=script,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1
