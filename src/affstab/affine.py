@@ -285,7 +285,9 @@ def bit_rows(s: AffineForm) -> tuple[list[int], int, int, int, list[int], int]:
 
 def subset_rows(s: AffineForm, qubits) -> tuple[list[int], list[int]]:
     """R_S and t_S on the bit rows: for each qubit k of ``qubits`` (Python
-    ints, checked by the caller), row k of R and the bit t_k."""
+    ints, checked by the caller), row k of R and the bit t_k.  A form that
+    is not a state (R lacks full column rank) raises ``InvariantError``."""
+    _frame_cols(s)
     rows, t = s._rows, s._t
     return [rows[k] for k in qubits], [t >> k & 1 for k in qubits]
 
@@ -657,9 +659,11 @@ def amplitude(s: AffineForm, x) -> complex:
 
 
 def to_statevector(s: AffineForm) -> np.ndarray:
-    """Dense 2^n statevector (qubit 0 is the most significant bit)."""
+    """Dense 2^n statevector (qubit 0 is the most significant bit); a form
+    that is not a state (R lacks full column rank) raises ``InvariantError``."""
     if s.n > MAX_QUBITS:
         raise CapacityError(f"statevector limited to {MAX_QUBITS} qubits, state has {s.n}")
+    _frame_cols(s)
     m = s.m
     # All parameter assignments as rows of a (2^m, m) bit matrix.
     us = ((np.arange(2 ** m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.uint8)

@@ -77,6 +77,7 @@ DIAGONAL_KINDS = {
     GateKind.P, GateKind.PDG, GateKind.Z, GateKind.CZ,
     GateKind.ZROT, GateKind.CZROT,
 }
+_CLASSICAL_OR_DIAGONAL = CLASSICAL_KINDS | DIAGONAL_KINDS
 
 PREP_NORM_TOL = 1e-12
 
@@ -131,7 +132,7 @@ class Circuit:
     ``prep`` is either None (all qubits start in |0>) or a tuple of
     per-qubit amplitude pairs (a, b) meaning a|0> + b|1>, each pair
     normalized within 1e-12.  ``measured`` is the default measurement
-    subset (distinct indices, in order).
+    subset (distinct indices, in order, stored as Python ints).
     """
 
     n_qubits: int
@@ -150,20 +151,28 @@ class Circuit:
             if len(self.prep) != self.n_qubits:
                 raise ValueError("prep must give one amplitude pair per qubit")
             for a, b in self.prep:
-                norm2 = abs(a) * abs(a) + abs(b) * abs(b)  # inf, not OverflowError
-                if not abs(norm2 - 1.0) <= PREP_NORM_TOL:  # also rejects nan
-                    raise ValueError(
-                        f"prep pair not normalized: |a|^2+|b|^2 = {norm2!r}")
-        _check_measured(self.n_qubits, self.measured)
+                norm2 = _bad_norm2(a, b)
+                if norm2 is not None:
+                    raise ValueError(f"prep pair not normalized: |a|^2+|b|^2 = {norm2!r}")
+        _setattr(self, "measured", _check_measured(self.n_qubits, self.measured))
 
 
-def _check_measured(n_qubits: int, measured: tuple[int, ...]) -> None:
-    """``Circuit``'s check of the measured qubits, on their own."""
-    if len(set(measured)) != len(measured):
+def _check_measured(n_qubits: int, measured) -> tuple[int, ...]:
+    """The measured qubits as Python ints (``operator.index``), checked distinct
+    and in range: the check of ``Circuit``, ``--qubits`` and every ``measure`` query."""
+    qubits = tuple(map(operator.index, measured))
+    if len(set(qubits)) != len(qubits):
         raise ValueError("measured qubits must be distinct")
-    for q in measured:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"measured qubit {q} out of range")
+    if qubits and (min(qubits) < 0 or max(qubits) >= n_qubits):
+        bad = next(q for q in qubits if not 0 <= q < n_qubits)
+        raise ValueError(f"measured qubit {bad} out of range")
+    return qubits
+
+
+def _bad_norm2(a: complex, b: complex) -> float | None:
+    """|a|^2 + |b|^2 of a prep pair off 1 by more than ``PREP_NORM_TOL``, else None."""
+    norm2 = abs(a) * abs(a) + abs(b) * abs(b)  # inf, not OverflowError
+    return None if abs(norm2 - 1.0) <= PREP_NORM_TOL else norm2  # nan fails <=
 
 
 def _circuit(n_qubits: int, gates: tuple[Gate, ...], prep,
@@ -196,18 +205,24 @@ def classify(c: Circuit) -> CircuitClass:
     (prep allowed; absent prep is the all-|0> product state).
     OracleOnly: anything else.
     """
-    kinds = [g.kind for g in c.gates]
-    if c.prep is None and all(k in CLIFFORD_KINDS for k in kinds):
-        return CircuitClass.CLIFFORD_ONLY
     if c.prep is None:
-        i = 0
-        while i < len(kinds) and kinds[i] is GateKind.H:
-            i += 1
-        if all(k in CLASSICAL_KINDS for k in kinds[i:]):
+        if _first_outside(c.gates, CLIFFORD_KINDS) is None:
+            return CircuitClass.CLIFFORD_ONLY
+        if _first_outside(c.gates[_h_prefix(c.gates):], CLASSICAL_KINDS) is None:
             return CircuitClass.HT_FORM
-    if all(k in CLASSICAL_KINDS or k in DIAGONAL_KINDS for k in kinds):
+    if _first_outside(c.gates, _CLASSICAL_OR_DIAGONAL) is None:
         return CircuitClass.PRODUCT_FRONT_CLASSICAL_DIAGONAL
     return CircuitClass.ORACLE_ONLY
+
+
+def _h_prefix(gates: tuple[Gate, ...]) -> int:
+    """How many H gates ``gates`` starts with: an HT circuit's Hadamard layer."""
+    return next((i for i, g in enumerate(gates) if g.kind is not GateKind.H), len(gates))
+
+
+def _first_outside(gates: tuple[Gate, ...], kinds) -> Gate | None:
+    """The first gate whose kind is not in ``kinds``, or None."""
+    return next((g for g in gates if g.kind not in kinds), None)
 
 
 def expand_swap(g: Gate) -> list[Gate]:
@@ -314,8 +329,8 @@ def parse(text: str) -> Circuit:
             except ValueError:
                 raise ParseError(ln, "prep amplitudes must be decimal floats")
             a, b = complex(vals[0], vals[1]), complex(vals[2], vals[3])
-            norm2 = abs(a) * abs(a) + abs(b) * abs(b)  # inf, not OverflowError
-            if not abs(norm2 - 1.0) <= PREP_NORM_TOL:  # also rejects nan
+            norm2 = _bad_norm2(a, b)
+            if norm2 is not None:
                 raise ParseError(ln, f"prep pair not normalized: {norm2!r}")
             prep_pairs[q] = (a, b)
         elif verb == "measure":

@@ -20,8 +20,7 @@ import sys
 import numpy as np
 
 from . import affine, measure, nearclifford, normalform, statevector
-from .circuit import (Circuit, CircuitClass, GateKind, _check_measured, _circuit, _gate,
-                      classify, parse)
+from .circuit import Circuit, CircuitClass, _check_measured, _circuit, classify, parse
 from .errors import (CapacityError, ClassificationError, InvariantError,
                      ParseError)
 
@@ -38,9 +37,7 @@ def _with_measured(c: Circuit, qubits) -> Circuit:
     checked the rest."""
     if qubits is None:
         return c
-    measured = tuple(qubits)
-    _check_measured(c.n_qubits, measured)
-    return _circuit(c.n_qubits, c.gates, c.prep, measured)
+    return _circuit(c.n_qubits, c.gates, c.prep, _check_measured(c.n_qubits, qubits))
 
 
 def _emit_sections(n: int, measured, sections: list[tuple[str, tuple]]) -> str:
@@ -62,9 +59,8 @@ def cmd_normalize(args, out, err) -> int:
     except ClassificationError:
         print("normalize requires a Clifford-only circuit", file=err)
         return 1
-    hs = tuple(_gate(GateKind.H, (k,)) for k in nf.hadamard_set)
     text = _emit_sections(c.n_qubits, c.measured, [
-        ("round 1", hs),
+        ("round 1", normalform._h_layer(nf.hadamard_set)),
         ("round 2", nf.linear_layer),
         ("round 3", nf.phase_layer),
     ])
@@ -86,10 +82,9 @@ def cmd_decompose(args, out, err) -> int:
     except ClassificationError:
         print("decompose requires a Clifford-only circuit", file=err)
         return 1
-    hs = tuple(_gate(GateKind.H, (k,)) for k in onf.hadamard_set)
     text = _emit_sections(c.n_qubits, c.measured, [
         ("M1", onf.m1),
-        ("H", hs),
+        ("H", normalform._h_layer(onf.hadamard_set)),
         ("M2", onf.m2),
     ])
     out.write(text)
@@ -279,7 +274,7 @@ def run_command(argv, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return 1
     except (CapacityError, MemoryError) as exc:
-        print(f"capacity exceeded: {exc}", file=err)
+        print(f"capacity exceeded: {str(exc) or 'out of memory'}", file=err)
         return 2
     except InvariantError as exc:
         print(f"internal error: {exc}", file=err)

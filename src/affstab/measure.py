@@ -23,6 +23,7 @@ import numpy as np
 
 from . import affine, gf2
 from .affine import AffineForm
+from .circuit import _check_measured
 from .errors import CapacityError
 
 
@@ -72,17 +73,6 @@ def format_rows(rows) -> str:
     return text.tobytes().decode("ascii")
 
 
-def _subset(n: int, subset) -> list[int]:
-    """The measured qubits as Python ints, checked distinct and in range."""
-    qubits = list(map(operator.index, subset))
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("measured qubits must be distinct")
-    if qubits and (min(qubits) < 0 or max(qubits) >= n):
-        bad = next(q for q in qubits if not 0 <= q < n)
-        raise ValueError(f"qubit {bad} out of range")
-    return qubits
-
-
 def _outcome(size: int, alpha) -> list:
     """The outcome bits as given, checked one bit equal to 0 or 1 per qubit."""
     bits = list(alpha)
@@ -101,11 +91,12 @@ def check_query(n: int, subset, alpha) -> tuple[list[int], list[int]]:
     refuse the same queries with the same messages.
 
     Raises:
+        TypeError: if a qubit is not an integer.
         ValueError: if the qubits are not distinct and in range, or the
         outcome is not one bit of exactly 0 or 1 per qubit.
     """
-    qubits = _subset(n, subset)
-    return qubits, list(map(int, _outcome(len(qubits), alpha)))
+    qubits = _check_measured(n, subset)
+    return list(qubits), list(map(int, _outcome(len(qubits), alpha)))
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -144,7 +135,7 @@ def _readout(s: AffineForm, subset) -> _Readout:
 
     The form keeps the last subset's readout (``AffineForm._readout``),
     keyed by its qubits after ``operator.index``; a key is stored only
-    once ``_subset`` has accepted it, so a hit needs no check.  The slot
+    once ``_check_measured`` has accepted it, so a hit needs no check.  The slot
     always holds a whole readout, so threads that race here at worst
     each run the elimination.
     """
@@ -155,7 +146,7 @@ def _readout(s: AffineForm, subset) -> _Readout:
             return last
     except AttributeError:
         pass
-    rows, t_s = affine.subset_rows(s, _subset(s.n, qubits))
+    rows, t_s = affine.subset_rows(s, _check_measured(s.n, qubits))
     # Each row of R_S is reduced by the pivot rows so far, keyed by
     # their top bit; c tracks which rows of R_S the result sums.
     size = len(rows)
@@ -206,7 +197,7 @@ def weak_sample_many(s: AffineForm, subset, shots: int,
     measured bit, over all shots, is the XOR of the parameter columns
     its row of R selects (shot j at bit j), complemented where t is 1.
     """
-    rows, t_s = affine.subset_rows(s, _subset(s.n, subset))
+    rows, t_s = affine.subset_rows(s, _check_measured(s.n, subset))
     us = rng.integers(0, 2, size=(shots, s.m), dtype=np.uint8)
     # A row keeps parameter i at bit m-1-i: reversed, bit b reads params[b].
     params, ones = gf2.ints(us.T)[::-1], (1 << shots) - 1

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2, measure
-from .circuit import (CLASSICAL_KINDS, DIAGONAL_KINDS, Circuit, Gate,
-                      GateKind, expand_swap)
+from .circuit import (CLASSICAL_KINDS, Circuit, Gate, GateKind, _CLASSICAL_OR_DIAGONAL,
+                      _first_outside, _h_prefix)
 from .errors import CapacityError, ClassificationError
 from .statevector import normalized_prep
 
@@ -33,26 +33,18 @@ DEFAULT_WIDTH_LIMIT = 24
 
 @dataclass(frozen=True)
 class ClassicalFunction:
-    """An invertible function {0,1}^n -> {0,1}^n as a reversible gate list."""
+    """An invertible function {0,1}^n -> {0,1}^n as X/CNOT/TOFFOLI/SWAP gates."""
 
     n: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
         for g in self.gates:
-            if g.kind not in (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI):
+            if g.kind not in CLASSICAL_KINDS:
                 raise ValueError(f"not a classical gate: {g.kind.value}")
             for q in g.qubits:
                 if not 0 <= q < self.n:
                     raise ValueError(f"qubit {q} out of range")
-
-    @staticmethod
-    def from_gates(n: int, gates) -> "ClassicalFunction":
-        """Build from a gate list, expanding SWAP and dropping nothing."""
-        out = []
-        for g in gates:
-            out.extend(expand_swap(g))
-        return ClassicalFunction(n, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -85,9 +77,12 @@ def _apply_classical(cols: list[int], g: Gate, ones: int) -> None:
     elif g.kind is GateKind.CNOT:
         c, t = g.qubits
         cols[t] ^= cols[c]
-    else:
+    elif g.kind is GateKind.TOFFOLI:
         c1, c2, t = g.qubits
         cols[t] ^= cols[c1] & cols[c2]
+    else:
+        a, b = g.qubits
+        cols[a], cols[b] = cols[b], cols[a]
 
 
 # ---------------------------------------------------------------------------
@@ -102,24 +97,22 @@ def _split_ht(c: Circuit) -> tuple[list[int], ClassicalFunction]:
     """
     if c.prep is not None:
         raise ClassificationError("HT circuits take the all-zeros input")
-    counts = np.zeros(c.n_qubits, dtype=np.int64)
-    i = 0
-    while i < len(c.gates) and c.gates[i].kind is GateKind.H:
-        counts[c.gates[i].qubits[0]] += 1
-        i += 1
-    for g in c.gates[i:]:
-        if g.kind not in CLASSICAL_KINDS:
-            raise ClassificationError(
-                "circuit is not in HT form: found "
-                f"{g.kind.value} after the Hadamard prefix")
-    positions = [int(k) for k in np.nonzero(counts % 2)[0]]
-    return positions, ClassicalFunction.from_gates(c.n_qubits, c.gates[i:])
+    i = _h_prefix(c.gates)
+    suffix = c.gates[i:]
+    bad = _first_outside(suffix, CLASSICAL_KINDS)
+    if bad is not None:
+        raise ClassificationError(
+            f"circuit is not in HT form: found {bad.kind.value} after the Hadamard prefix")
+    odd: set[int] = set()
+    for g in c.gates[:i]:
+        odd.symmetric_difference_update(g.qubits)
+    return sorted(odd), ClassicalFunction(c.n_qubits, suffix)
 
 
 def classical_part(c: Circuit) -> ClassicalFunction:
     """The classical (X/CNOT/TOFFOLI/SWAP) gates of a circuit, as a function."""
-    gates = [g for g in c.gates if g.kind in CLASSICAL_KINDS]
-    return ClassicalFunction.from_gates(c.n_qubits, gates)
+    return ClassicalFunction(
+        c.n_qubits, tuple(g for g in c.gates if g.kind in CLASSICAL_KINDS))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +206,10 @@ def product_front_batch(c: Circuit, shots: int,
     Diagonal gates only dress basis states with phases, so they are
     ignored; the classical gates act on the drawn bits.
     """
-    for g in c.gates:
-        if g.kind not in CLASSICAL_KINDS and g.kind not in DIAGONAL_KINDS:
-            raise ClassificationError(
-                f"gate {g.kind.value} is neither classical nor diagonal")
+    bad = _first_outside(c.gates, _CLASSICAL_OR_DIAGONAL)
+    if bad is not None:
+        raise ClassificationError(
+            f"gate {bad.kind.value} is neither classical nor diagonal")
     p_one = np.array([abs(b) ** 2 for _, b in normalized_prep(c)])
     xs = (rng.random((shots, len(p_one))) < p_one).astype(np.uint8)
     return eval_classical_batch(classical_part(c), xs)[:, list(c.measured)]

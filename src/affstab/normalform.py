@@ -209,10 +209,13 @@ class NormalFormState:
     phase_layer: tuple[Gate, ...]    # P, CZ and Z only
 
     def to_circuit(self, n: int, measured: tuple[int, ...] = (0,)) -> Circuit:
-        # operator.index keeps gate()'s check on a hand-built hadamard_set.
-        gates = tuple(_gate(GateKind.H, (operator.index(k),)) for k in self.hadamard_set)
-        return Circuit(n, gates + self.linear_layer + self.phase_layer,
+        return Circuit(n, _h_layer(self.hadamard_set) + self.linear_layer + self.phase_layer,
                        None, measured)
+
+
+def _h_layer(hadamard_set) -> tuple[Gate, ...]:
+    """H gates on ``hadamard_set``; ``operator.index`` keeps ``gate()``'s check."""
+    return tuple(_gate(GateKind.H, (operator.index(k),)) for k in hadamard_set)
 
 
 def _complete_to_invertible(r: list[int], m: int) -> list[int]:
@@ -337,9 +340,7 @@ class OperatorNormalForm:
     m2: tuple[Gate, ...]
 
     def to_circuit(self, n: int, measured: tuple[int, ...] = (0,)) -> Circuit:
-        # operator.index keeps gate()'s check on a hand-built hadamard_set.
-        hs = tuple(_gate(GateKind.H, (operator.index(k),)) for k in self.hadamard_set)
-        return Circuit(n, self.m1 + hs + self.m2, None, measured)
+        return Circuit(n, self.m1 + _h_layer(self.hadamard_set) + self.m2, None, measured)
 
 
 def _inverse_sequence(gates: tuple[Gate, ...]) -> list[Gate]:

@@ -42,6 +42,12 @@ def test_parse_errors_carry_line_numbers():
         ("qubits 2\nzrot 0 1 0\n", 2, "denominator"),
         ("qubits 2\nmeasure 0 0\n", 2, "duplicate"),
         ("qubits 0\n", 1, "positive"),
+        ("qubits 2 3\n", 1, "'qubits' takes 1 argument(s)"),
+        ("qubits 2\nh x\n", 2, "'h': expected integer, got 'x'"),
+        ("qubits 1\nprep 0 1 0 0\n", 2, "prep takes: qubit a_re a_im b_re b_im"),
+        ("qubits 1\nprep 0 a 0 0 0\n", 2, "prep amplitudes must be decimal floats"),
+        ("qubits 1\nmeasure\n", 2, "measure needs at least one qubit"),
+        ("# nothing\n\n", 0, "empty input: missing 'qubits N' header"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as exc:
@@ -118,6 +124,31 @@ def test_gate_validation():
         gate(GateKind.ZROT, 0)  # missing angle
     with pytest.raises(ValueError):
         gate(GateKind.ZROT, 0, angle=(1, 0))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0,), "circuit must have at least one qubit"),
+    ((2, (gate(GateKind.H, 2),)), "qubit index 2 out of range"),
+    ((2, (), ((1, 0),)), "prep must give one amplitude pair per qubit"),
+])
+def test_circuit_refuses_malformed_input(args, message):
+    with pytest.raises(ValueError) as exc:
+        Circuit(*args)
+    assert str(exc.value) == message
+
+
+def test_circuit_measured_qubits_are_integers():
+    # The sampler indexes its rows with them: a float or a bool once
+    # passed the check and failed there with a numpy IndexError.
+    from affstab.nearclifford import ht_sample_batch
+    gates = (gate(GateKind.H, 0), gate(GateKind.CNOT, 0, 1))
+    with pytest.raises(TypeError):
+        Circuit(2, gates, None, (1.0,))
+    want = ht_sample_batch(Circuit(2, gates, None, (1,)), 50, np.random.default_rng(4))
+    for q in (np.int64(1), True):
+        c = Circuit(2, gates, None, (q,))
+        assert c.measured == (1,) and type(c.measured[0]) is int
+        assert np.array_equal(ht_sample_batch(c, 50, np.random.default_rng(4)), want)
 
 
 def test_circuit_rejects_unnormalized_prep():

@@ -257,6 +257,18 @@ def test_sample_out_of_memory_is_capacity(tmp_path):
     assert err.startswith("capacity exceeded: ") and "Traceback" not in err
 
 
+def test_bare_memory_error_names_the_capacity(tmp_path, monkeypatch):
+    # A bare MemoryError has an empty message; no real allocation here.
+    from affstab import nearclifford
+
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(nearclifford, "product_front_batch", out_of_memory)
+    path = circuit_file(tmp_path, "pf.cq", PRODUCT)
+    assert run(["sample", path]) == (2, "", "capacity exceeded: out of memory\n")
+
+
 def test_negative_shots_is_bad_input(tmp_path):
     # Refused before the file is read, on every sampling route.
     for name, text in (("ghz2.cq", GHZ), ("ht.cq", HT), ("pf.cq", PRODUCT)):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from affstab import (CapacityError, apply_h, enumerate_support, gf2, init_zero,
                      parse, run_clifford, strong_prob, weak_sample_many)
-from affstab.affine import AffineForm, LinForm, QuadForm
+from affstab.affine import AffineForm, LinForm, QuadForm, amplitude, to_statevector
+from affstab.errors import InvariantError
 from affstab.measure import DyadicProb, Outcome, check_query, format_rows
 from affstab.statevector import distribution, run_statevector
 from helpers import (BAD_QUERIES, BELL_X, all_subsets, random_clifford_circuit,
@@ -33,6 +34,37 @@ def test_strong_prob_validates_input():
         strong_prob(s, [0], [0, 1])
     with pytest.raises(ValueError):
         strong_prob(s, [5], [0])
+
+
+def test_subset_refusals_name_the_measured_qubit():
+    s = ghz()
+    readers = (lambda q: strong_prob(s, q, [0] * len(q)),
+               lambda q: weak_sample_many(s, q, 1, np.random.default_rng(0)),
+               lambda q: check_query(s.n, q, [0] * len(q)))
+    for read in readers:
+        for qubits, message in (([0, 7], "measured qubit 7 out of range"),
+                                ([-1], "measured qubit -1 out of range"),
+                                ([1, 1], "measured qubits must be distinct")):
+            with pytest.raises(ValueError) as exc:
+                read(qubits)
+            assert str(exc.value) == message
+        with pytest.raises(TypeError):
+            read([1.0])
+
+
+def test_readers_refuse_a_form_that_is_not_a_state():
+    # R = [1 1] has rank 1 < m = 2, so this "form" sums to the zero
+    # vector.  Every reader must refuse it, not answer, also under -O.
+    s = AffineForm(1, [[1, 1]], [0], LinForm.zero(2),
+                   QuadForm(np.zeros((2, 2), dtype=np.uint8), [1, 0], 0))
+    readers = (lambda: strong_prob(s, [0], [0]),
+               lambda: enumerate_support(s, [0], 8),
+               lambda: weak_sample_many(s, [0], 3, np.random.default_rng(0)),
+               lambda: to_statevector(s),
+               lambda: amplitude(s, [0]))
+    for read in readers:
+        with pytest.raises(InvariantError, match="^R does not have full column rank$"):
+            read()
 
 
 def test_dyadic_formatting():

@@ -45,9 +45,32 @@ def test_eval_classical_invertibility():
         assert np.array_equal(back, xs)
 
 
+def test_swap_is_a_classical_rule():
+    # A hand-built SWAP (parse expands it) must act as its three CNOTs
+    # on every classical route.
+    assert ClassicalFunction(2, (gate(GateKind.SWAP, 0, 1),)).gates[0].kind is GateKind.SWAP
+    swap = (gate(GateKind.SWAP, 1, 2),)
+    cnots = (gate(GateKind.CNOT, 1, 2), gate(GateKind.CNOT, 2, 1), gate(GateKind.CNOT, 1, 2))
+    head = (gate(GateKind.H, 0), gate(GateKind.H, 3), gate(GateKind.CNOT, 0, 1))
+    tail = (gate(GateKind.TOFFOLI, 3, 1, 2), gate(GateKind.X, 0))
+    measured = (2, 1, 0)
+    prep = ((1.0 + 0j, 0j), (0.6 + 0j, 0.8 + 0j), (0.8 + 0j, 0.6j), (1.0 + 0j, 0j))
+    ht = [Circuit(4, head + mid + tail, None, measured) for mid in (swap, cnots)]
+    pf = [Circuit(4, head[2:] + mid + tail, prep, measured) for mid in (swap, cnots)]
+    for a, b in (ht, pf):
+        sampler = ht_sample_batch if a.prep is None else product_front_batch
+        assert np.array_equal(sampler(a, 200, np.random.default_rng(6)),
+                              sampler(b, 200, np.random.default_rng(6)))
+    for k in range(8):
+        alpha = [k >> 2 & 1, k >> 1 & 1, k & 1]
+        assert ht_strong_count(ht[0], measured, alpha) == ht_strong_count(ht[1], measured, alpha)
+
+
 def test_classical_function_rejects_non_classical():
     with pytest.raises(ValueError):
         ClassicalFunction(2, (gate(GateKind.H, 0),))
+    with pytest.raises(ValueError, match="^qubit 2 out of range$"):
+        ClassicalFunction(2, (gate(GateKind.CNOT, 0, 2),))
 
 
 def test_ht_sample_and_of_two_fair_bits():
@@ -131,6 +154,12 @@ def test_ht_strong_count_checks_query_before_counting(monkeypatch):
 def test_ht_strong_count_rejects_non_ht():
     with pytest.raises(ClassificationError):
         ht_strong_count(parse("qubits 2\ncnot 0 1\nh 0"), [0], [0])
+
+
+def test_ht_sample_batch_refuses_prep():
+    c = parse("qubits 1\nprep 0 0.6 0.0 0.8 0.0\nx 0")
+    with pytest.raises(ClassificationError, match="^HT circuits take the all-zeros input$"):
+        ht_sample_batch(c, 1, np.random.default_rng(0))
 
 
 def test_ht_double_hadamard_prefix_is_exact():

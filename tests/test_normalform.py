@@ -91,6 +91,8 @@ def test_conjugation_round_trip_and_pauli_closure():
 def test_conjugate_pauli_rejects_non_clifford():
     with pytest.raises(ValueError):
         conjugate_pauli(PauliTerm.x_gen(3, 0), gate(GateKind.TOFFOLI, 0, 1, 2))
+    with pytest.raises(ClassificationError, match="^circuit is not Clifford-only$"):
+        conjugated_generators(parse("qubits 3\ntoffoli 0 1 2"))
 
 
 def test_conjugated_generators_examples():
