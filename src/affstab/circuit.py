@@ -16,12 +16,17 @@ PHASE) is kept in the IR and expanded to three PHASE gates by the
 simulation passes.  Diagonal rotation angles are exact rationals
 (num, den) meaning the phase exp(i*pi*num/den) on the all-ones branch.
 
+A ``Gate`` is an immutable ``NamedTuple`` ``(kind, qubits, angle)``.
 Each gate is checked once.  ``gate`` and ``Gate(...)`` check kind,
 qubits and angle; the gates the package derives (parsed statements,
 expanded SWAP and PDG, the normal forms' layers) come from one
-unchecked constructor, ``_gate``, after their callers' own checks.
-Likewise ``_circuit`` builds the circuits of ``parse`` and of the
-CLI's ``--qubits``, whose gates are already checked.
+unchecked constructor, ``_gate``, after their callers' own checks
+(``Gate._make`` and ``_replace`` skip the checks too).  Likewise
+``_circuit`` builds the circuits of ``parse`` and of the CLI's
+``--qubits``, whose gates are already checked.
+
+``parse`` interns repeated gate lines: within one call, every body line
+with the same raw text shares one ``Gate`` (three for a ``swap`` line).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
 
@@ -82,47 +87,50 @@ _CLASSICAL_OR_DIAGONAL = CLASSICAL_KINDS | DIAGONAL_KINDS
 PREP_NORM_TOL = 1e-12
 
 _new, _setattr = object.__new__, object.__setattr__
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Gate:
+# ``typing.NamedTuple`` refuses a class body that defines ``__new__``, so
+# the checked constructor lives in the subclass ``Gate``.
+class _GateFields(NamedTuple):
+    kind: GateKind
+    qubits: tuple[int, ...]
+    angle: tuple[int, int] | None = None
+
+
+class Gate(_GateFields):
     """A single gate: kind, ordered distinct qubit indices, optional angle.
 
     Indices are stored as a tuple of Python ints (numpy integers are
     converted), since the simulators use them as shift counts.
     """
 
-    kind: GateKind
-    qubits: tuple[int, ...]
-    angle: tuple[int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.qubits) is not tuple or any(type(q) is not int for q in self.qubits):
-            object.__setattr__(self, "qubits", tuple(map(operator.index, self.qubits)))
-        if len(self.qubits) != ARITY[self.kind]:
+    def __new__(cls, kind: GateKind, qubits: Iterable[int],
+                angle: tuple[int, int] | None = None) -> Gate:
+        if type(qubits) is not tuple or any(type(q) is not int for q in qubits):
+            qubits = tuple(map(operator.index, qubits))
+        if len(qubits) != ARITY[kind]:
             raise ValueError(
-                f"{self.kind.value} takes {ARITY[self.kind]} qubit(s), "
-                f"got {len(self.qubits)}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubit in {self.kind.value} gate")
-        if (self.angle is not None) != (self.kind in ANGLED):
-            raise ValueError(f"angle mismatch for {self.kind.value}")
-        if self.angle is not None and self.angle[1] <= 0:
+                f"{kind.value} takes {ARITY[kind]} qubit(s), got {len(qubits)}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate qubit in {kind.value} gate")
+        if (angle is not None) != (kind in ANGLED):
+            raise ValueError(f"angle mismatch for {kind.value}")
+        if angle is not None and angle[1] <= 0:
             raise ValueError("angle denominator must be positive")
+        return _tuple_new(cls, (kind, qubits, angle))
 
 
 def gate(kind: GateKind, *qubits: int, angle: tuple[int, int] | None = None) -> Gate:
-    return Gate(kind, tuple(qubits), angle)
+    return Gate(kind, qubits, angle)
 
 
 def _gate(kind: GateKind, qubits: tuple[int, ...], angle: tuple[int, int] | None = None) -> Gate:
     """A Gate built unchecked: the caller has proven what ``Gate`` checks,
     with ``qubits`` a tuple of Python ints."""
-    g = _new(Gate)
-    _setattr(g, "kind", kind)
-    _setattr(g, "qubits", qubits)
-    _setattr(g, "angle", angle)
-    return g
+    return _tuple_new(Gate, (kind, qubits, angle))
 
 
 @dataclass(frozen=True)
@@ -263,14 +271,25 @@ def parse(text: str) -> Circuit:
     in_body = False  # after the header and before 'measure'
 
     # Each statement is checked once, as it is read, so the frozen Gate
-    # and Circuit are built without running their __post_init__ checks.
+    # and Circuit are built without running their checks.  A body line
+    # seen before is the same gate(s) again: the checks depend only on
+    # its text and n_qubits, which the body does not change.
     specs = _GATE_SPECS
+    seen: dict[str, tuple[Gate, ...]] = {}  # raw body line -> its gates
     for ln, raw in enumerate(text.splitlines(), start=1):
+        if in_body:
+            hit = seen.get(raw)
+            if hit is not None:
+                gates += hit
+                continue
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        verb = tokens[0].lower()
+        verb = tokens[0]
         spec = specs.get(verb)
+        if spec is None:
+            verb = verb.lower()
+            spec = specs.get(verb)
         if spec is not None and in_body:
             # A gate: the checks of ``Gate``, in the order the messages
             # promise.
@@ -295,10 +314,10 @@ def parse(text: str) -> Circuit:
                 if nums[arity + 1] <= 0:
                     raise ParseError(ln, "angle denominator must be positive")
                 angle = nums[arity:]
-            if kind is GateKind.SWAP:
-                gates.extend(expand_swap(_gate(kind, qubits)))
-            else:
-                gates.append(_gate(kind, qubits, angle))
+            g = _gate(kind, qubits, angle)
+            hit = (g,) if kind is not GateKind.SWAP else tuple(expand_swap(g))
+            seen[raw] = hit
+            gates += hit
             continue
         args = tokens[1:]
 

@@ -190,8 +190,7 @@ def _product_dist_deviation(c, oracle_dist) -> float:
     # The sampler's implied distribution, by exact enumeration of the
     # product inputs (width is already oracle-capped).
     n = c.n_qubits
-    pairs = statevector.normalized_prep(c)
-    p_one = np.array([abs(b) ** 2 for _, b in pairs])
+    p_one = nearclifford._p_one(c)
     xs = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
           ).astype(np.uint8)
     weights = np.prod(np.where(xs == 1, p_one, 1.0 - p_one), axis=1)

@@ -47,6 +47,15 @@ class ClassicalFunction:
                     raise ValueError(f"qubit {q} out of range")
 
 
+def _classical_function(n: int, gates: tuple[Gate, ...]) -> ClassicalFunction:
+    """A ClassicalFunction built unchecked: the caller has proven what
+    ``ClassicalFunction`` checks (classical gates, in range)."""
+    f = object.__new__(ClassicalFunction)
+    object.__setattr__(f, "n", n)
+    object.__setattr__(f, "gates", gates)
+    return f
+
+
 @dataclass(frozen=True)
 class CountResult:
     """Exact probability numerator / 2^m from brute-force counting."""
@@ -106,12 +115,12 @@ def _split_ht(c: Circuit) -> tuple[list[int], ClassicalFunction]:
     odd: set[int] = set()
     for g in c.gates[:i]:
         odd.symmetric_difference_update(g.qubits)
-    return sorted(odd), ClassicalFunction(c.n_qubits, suffix)
+    return sorted(odd), _classical_function(c.n_qubits, suffix)
 
 
 def classical_part(c: Circuit) -> ClassicalFunction:
     """The classical (X/CNOT/TOFFOLI/SWAP) gates of a circuit, as a function."""
-    return ClassicalFunction(
+    return _classical_function(
         c.n_qubits, tuple(g for g in c.gates if g.kind in CLASSICAL_KINDS))
 
 
@@ -210,6 +219,12 @@ def product_front_batch(c: Circuit, shots: int,
     if bad is not None:
         raise ClassificationError(
             f"gate {bad.kind.value} is neither classical nor diagonal")
-    p_one = np.array([abs(b) ** 2 for _, b in normalized_prep(c)])
+    p_one = _p_one(c)
     xs = (rng.random((shots, len(p_one))) < p_one).astype(np.uint8)
     return eval_classical_batch(classical_part(c), xs)[:, list(c.measured)]
+
+
+def _p_one(c: Circuit) -> np.ndarray:
+    """The product-front input law: each qubit's P(1) = |b|^2 after its
+    prep pair is renormalized."""
+    return np.array([abs(b) ** 2 for _, b in normalized_prep(c)])

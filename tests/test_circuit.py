@@ -1,9 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affstab import (Circuit, CircuitClass, GateKind, ParseError, classify,
+from affstab import (Circuit, CircuitClass, Gate, GateKind, ParseError, classify,
                      emit, gate, parse)
-from affstab.circuit import basic_clifford_gates
+from affstab.circuit import ANGLED, ARITY, basic_clifford_gates
 from helpers import random_text_circuit
 
 
@@ -48,12 +52,102 @@ def test_parse_errors_carry_line_numbers():
         ("qubits 1\nprep 0 a 0 0 0\n", 2, "prep amplitudes must be decimal floats"),
         ("qubits 1\nmeasure\n", 2, "measure needs at least one qubit"),
         ("# nothing\n\n", 0, "empty input: missing 'qubits N' header"),
+        # A line the parser has seen is checked again where the state differs.
+        ("qubits 2\nh 0\nmeasure 0\nh 0\n", 4, "no statements allowed after 'measure'"),
+        ("qubits 2\nswap 0 1\nmeasure 0\nswap 0 1\n", 4,
+         "no statements allowed after 'measure'"),
+        ("qubits 2\nH 0\nh 0\nprep 1 1 0 0 0\n", 4, "prep must precede all gates"),
+        ("qubits 2\nh 0\nh 0\nqubits 2\n", 4, "duplicate 'qubits' header"),
+        ("qubits 2\nFROB 0\n", 2, "unknown mnemonic 'frob'"),
+        ("qubits 2\nCNOT 1 1\n", 2, "duplicate qubit in 'cnot'"),
+        ("qubits 2\nZRot 0 1 0\n", 2, "angle denominator must be positive"),
     ]
     for text, line, needle in cases:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.line == line, text
         assert needle in str(exc.value), text
+
+
+def _reference_parse(text: str) -> Circuit:
+    """A valid file parsed line by line, each gate built by the checked
+    ``Gate(...)`` and the circuit by the checked ``Circuit(...)``."""
+    n, prep, gates, measured = None, {}, [], (0,)
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        verb, args = tokens[0].lower(), tokens[1:]
+        if verb == "qubits":
+            n = int(args[0])
+        elif verb == "prep":
+            re_a, im_a, re_b, im_b = map(float, args[1:])
+            prep[int(args[0])] = (complex(re_a, im_a), complex(re_b, im_b))
+        elif verb == "measure":
+            measured = tuple(map(int, args))
+        else:
+            kind = GateKind(verb)
+            nums = tuple(map(int, args))
+            qubits, angle = nums[:ARITY[kind]], nums[ARITY[kind]:] or None
+            if kind is GateKind.SWAP:
+                a, b = qubits
+                gates += [Gate(GateKind.CNOT, (a, b)), Gate(GateKind.CNOT, (b, a)),
+                          Gate(GateKind.CNOT, (a, b))]
+            else:
+                gates.append(Gate(kind, qubits, angle))
+    pairs = None
+    if prep:
+        pairs = tuple(prep.get(q, (1, 0)) for q in range(n))
+    return Circuit(n, tuple(gates), pairs, measured)
+
+
+@st.composite
+def _gate_lines(draw, n):
+    """A gate line: any kind that fits n, any mnemonic case, spaces or
+    tabs between tokens, and maybe a trailing comment."""
+    kind = draw(st.sampled_from([k for k in GateKind if ARITY[k] <= n]))
+    qubits = draw(st.permutations(range(n)))[:ARITY[kind]]
+    nums = list(qubits)
+    if kind in ANGLED:
+        nums += [draw(st.integers(-9, 9)), draw(st.integers(1, 9))]
+    mnemonic = "".join(draw(st.sampled_from([ch, ch.upper()])) for ch in kind.value)
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+    comment = draw(st.sampled_from(["", "# note", "\t#h 0", " #"]))
+    return sep.join([mnemonic] + [str(q) for q in nums]) + comment
+
+
+@st.composite
+def _text_circuits(draw):
+    n = draw(st.integers(1, 5))
+    lines = ["# header comment", f"QUBITS\t{n}" if draw(st.booleans()) else f"qubits {n}"]
+    if n >= 2 and draw(st.booleans()):
+        lines.append(f"prep {n - 1} 0.6 0.0 0.0 -0.8  # not |0>")
+    pool = draw(st.lists(_gate_lines(n), min_size=1, max_size=6))
+    for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=40)):
+        lines.append(pool[i])  # repeats, by construction
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# between", "\t"])))
+    if draw(st.booleans()):
+        measured = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        lines += ["Measure " + " ".join(map(str, measured)), "# after measure", ""]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_circuits())
+def test_parse_equals_a_checked_reference(text):
+    c = parse(text)
+    assert c == _reference_parse(text)
+    assert all(type(g) is Gate and all(type(q) is int for q in g.qubits) for g in c.gates)
+
+
+def test_parse_shares_one_gate_per_repeated_line():
+    c = parse("qubits 3\nh 0\ncnot 0 1\nh 0\nswap 1 2\ncnot 0 1\nswap 1 2\n")
+    h, cnot, h2, s1, s2, s3, cnot2, *swap2 = c.gates
+    assert h is h2 and cnot is cnot2
+    assert [s1, s2, s3] == swap2 and all(a is b for a, b in zip((s1, s2, s3), swap2))
+    # The same gate on other text is built again, but equal.
+    assert parse("qubits 1\nh 0\nh 0 # again").gates[0] == Gate(GateKind.H, (0,))
 
 
 def test_parse_comments_and_blanks():
@@ -113,6 +207,40 @@ def test_classify_order_sensitivity():
 def test_classify_prep_blocks_clifford():
     c = parse("qubits 1\nprep 0 0.6 0.0 0.8 0.0\nh 0")
     assert classify(c) is CircuitClass.ORACLE_ONLY
+
+
+def test_gate_is_a_checked_named_tuple():
+    g = Gate(GateKind.CZROT, (0, 2), (1, 4))
+    assert Gate(kind=GateKind.CZROT, qubits=(0, 2), angle=(1, 4)) == g
+    assert g == (GateKind.CZROT, (0, 2), (1, 4)) and hash(g) == hash(tuple(g))
+    kind, qubits, angle = g
+    assert (kind, qubits, angle) == (g.kind, g.qubits, g.angle)
+    assert Gate._fields == ("kind", "qubits", "angle")
+    assert Gate(GateKind.H, [0]).angle is None
+    # numpy integers become Python ints: the simulators shift by them.
+    h = Gate(GateKind.CNOT, np.array([3, 1]))
+    assert h.qubits == (3, 1) and all(type(q) is int for q in h.qubits)
+    for x in (g, h):
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and type(back) is Gate
+    with pytest.raises(AttributeError):
+        g.kind = GateKind.CZ
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((GateKind.H, (0, 1)), {}, "h takes 1 qubit(s), got 2"),
+    ((GateKind.TOFFOLI,), {"qubits": (0, 1)}, "toffoli takes 3 qubit(s), got 2"),
+    ((GateKind.CNOT, (1, 1)), {}, "duplicate qubit in cnot gate"),
+    ((GateKind.ZROT, (0,)), {}, "angle mismatch for zrot"),
+    ((GateKind.H,), {"qubits": (0,), "angle": (1, 2)}, "angle mismatch for h"),
+    ((GateKind.CZROT, (0, 1), (1, 0)), {}, "angle denominator must be positive"),
+    ((), {"kind": GateKind.ZROT, "qubits": (0,), "angle": (1, -4)},
+     "angle denominator must be positive"),
+])
+def test_gate_refusals_keep_their_messages(args, kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        Gate(*args, **kwargs)
+    assert str(exc.value) == message
 
 
 def test_gate_validation():

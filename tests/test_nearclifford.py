@@ -9,7 +9,8 @@ import pytest
 from affstab import (CapacityError, Circuit, GateKind, gate, parse,
                      run_clifford, strong_prob, weak_sample_many)
 from affstab.errors import ClassificationError
-from affstab.nearclifford import (ClassicalFunction, classical_part,
+from affstab.circuit import CLASSICAL_KINDS
+from affstab.nearclifford import (ClassicalFunction, _split_ht, classical_part,
                                   eval_classical_batch, ht_sample_batch,
                                   ht_strong_count, product_front_batch)
 from affstab.statevector import distribution, run_statevector, total_variation
@@ -71,6 +72,26 @@ def test_classical_function_rejects_non_classical():
         ClassicalFunction(2, (gate(GateKind.H, 0),))
     with pytest.raises(ValueError, match="^qubit 2 out of range$"):
         ClassicalFunction(2, (gate(GateKind.CNOT, 0, 2),))
+
+
+def test_derived_classical_functions_equal_checked_ones():
+    # _split_ht and classical_part build theirs unchecked, from gates the
+    # circuit has checked; the public constructor still checks.
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        n = int(rng.integers(3, 8))
+        ht = random_ht_circuit(rng, n, 3, 12)
+        f = _split_ht(ht)[1]
+        assert f == ClassicalFunction(n, f.gates)
+        front = random_product_front_circuit(rng, n, 15)
+        f = classical_part(front)
+        assert f == ClassicalFunction(
+            n, tuple(g for g in front.gates if g.kind in CLASSICAL_KINDS))
+        if f.gates:
+            with pytest.raises(ValueError, match="out of range"):
+                ClassicalFunction(max(f.gates[0].qubits), f.gates)
+        with pytest.raises(ValueError, match="not a classical gate: h"):
+            ClassicalFunction(n, ht.gates)
 
 
 def test_ht_sample_and_of_two_fair_bits():
