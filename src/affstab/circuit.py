@@ -10,11 +10,12 @@ The text format is line oriented (UTF-8, ``#`` starts a comment):
     measure q1 q2 ...               optional, at most once, last statement
                                     (default: measure 0)
 
-``swap`` is parser sugar and is expanded to three CNOTs at ingestion;
-circuits built by this library never contain it.  ``pdg`` (inverse
-PHASE) is kept in the IR and expanded to three PHASE gates by the
-simulation passes.  Diagonal rotation angles are exact rationals
-(num, den) meaning the phase exp(i*pi*num/den) on the all-ones branch.
+``parse`` reads a ``swap`` line as three CNOTs.  Every simulator and
+the Pauli stack take all eight Clifford kinds as they stand (SWAP and
+PDG built in code included); ``basic_clifford_gates`` expands SWAP and
+PDG for code that wants the six basic kinds.  Diagonal rotation angles
+are exact rationals (num, den): the phase exp(i*pi*num/den) on the
+all-ones branch.
 
 A ``Gate`` is an immutable ``NamedTuple`` ``(kind, qubits, angle)``.
 Each gate is checked once.  ``gate`` and ``Gate(...)`` check kind,
@@ -27,6 +28,9 @@ unchecked constructor, ``_gate``, after their callers' own checks
 
 ``parse`` interns repeated gate lines: within one call, every body line
 with the same raw text shares one ``Gate`` (three for a ``swap`` line).
+A measure line gets the one measured-subset check, ``_check_measured``,
+with its line number.  One writer, ``_emit``, writes ``emit``'s text
+and the CLI's normal forms.
 """
 
 from __future__ import annotations
@@ -340,7 +344,8 @@ def parse(text: str) -> Circuit:
             if len(args) != 5:
                 raise ParseError(ln, "prep takes: qubit a_re a_im b_re b_im")
             q = _parse_int(ln, args[:1], "prep", count=1)[0]
-            _check_index(ln, q, n_qubits)
+            if not 0 <= q < n_qubits:
+                raise ParseError(ln, f"qubit index {q} out of range for {n_qubits} qubits")
             if q in prep_pairs:
                 raise ParseError(ln, f"duplicate prep for qubit {q}")
             try:
@@ -356,11 +361,10 @@ def parse(text: str) -> Circuit:
             qubits = _parse_int(ln, args, "measure")
             if not qubits:
                 raise ParseError(ln, "measure needs at least one qubit")
-            if len(set(qubits)) != len(qubits):
-                raise ParseError(ln, "duplicate qubit in measure")
-            for q in qubits:
-                _check_index(ln, q, n_qubits)
-            measured = tuple(qubits)
+            try:
+                measured = _check_measured(n_qubits, qubits)
+            except ValueError as exc:
+                raise ParseError(ln, str(exc)) from None
             in_body = False
         else:
             raise ParseError(ln, f"unknown mnemonic '{verb}'")
@@ -391,22 +395,25 @@ def _parse_int(ln: int, toks: list[str], verb: str, count: int | None = None) ->
     return out
 
 
-def _check_index(ln: int, q: int, n: int) -> None:
-    if not 0 <= q < n:
-        raise ParseError(ln, f"qubit index {q} out of range for {n} qubits")
-
-
 def emit(c: Circuit) -> str:
     """Emit canonical text; parse(emit(c)) == c for swap-free circuits."""
-    lines = [f"qubits {c.n_qubits}"]
-    if c.prep is not None:
-        for q, (a, b) in enumerate(c.prep):
-            lines.append(
-                f"prep {q} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}")
-    for g in c.gates:
-        parts = [g.kind.value] + [str(q) for q in g.qubits]
-        if g.angle is not None:
-            parts += [str(g.angle[0]), str(g.angle[1])]
-        lines.append(" ".join(parts))
-    lines.append("measure " + " ".join(str(q) for q in c.measured))
-    return "\n".join(lines) + "\n"
+    return _emit(c.n_qubits, c.prep, ((None, c.gates),), c.measured)
+
+
+def _emit(n: int, prep, sections, measured) -> str:
+    """The one circuit-text writer: each (label, gates) section follows a
+    ``# label`` line unless the label is None."""
+    lines = [f"qubits {n}"]
+    if prep is not None:
+        lines += [f"prep {q} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}"
+                  for q, (a, b) in enumerate(prep)]
+    append = lines.append
+    for label, gates in sections:
+        if label is not None:
+            append(f"# {label}")
+        for kind, qubits, angle in gates:
+            # ``_value_``: ``.value`` is a Python property call.
+            line = f"{kind._value_} {' '.join(map(str, qubits))}"
+            append(line if angle is None else f"{line} {angle[0]} {angle[1]}")
+    append(f"measure {' '.join(map(str, measured))}\n")
+    return "\n".join(lines)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import affine, measure, nearclifford, normalform, statevector
-from .circuit import Circuit, CircuitClass, _check_measured, _circuit, classify, parse
+from .circuit import Circuit, CircuitClass, _check_measured, _circuit, _emit, classify, parse
 from .errors import (CapacityError, ClassificationError, InvariantError,
                      ParseError)
 
@@ -40,18 +40,6 @@ def _with_measured(c: Circuit, qubits) -> Circuit:
     return _circuit(c.n_qubits, c.gates, c.prep, _check_measured(c.n_qubits, qubits))
 
 
-def _emit_sections(n: int, measured, sections: list[tuple[str, tuple]]) -> str:
-    """Circuit text with one comment marker per gate section."""
-    body = [f"qubits {n}"]
-    for label, gates in sections:
-        body.append(f"# {label}")
-        for g in gates:
-            parts = [g.kind.value] + [str(q) for q in g.qubits]
-            body.append(" ".join(parts))
-    body.append("measure " + " ".join(str(q) for q in measured))
-    return "\n".join(body) + "\n"
-
-
 def cmd_normalize(args, out, err) -> int:
     c = _load(args.circuit)
     try:
@@ -59,12 +47,9 @@ def cmd_normalize(args, out, err) -> int:
     except ClassificationError:
         print("normalize requires a Clifford-only circuit", file=err)
         return 1
-    text = _emit_sections(c.n_qubits, c.measured, [
-        ("round 1", normalform._h_layer(nf.hadamard_set)),
-        ("round 2", nf.linear_layer),
-        ("round 3", nf.phase_layer),
-    ])
-    out.write(text)
+    out.write(_emit(c.n_qubits, None, (("round 1", normalform._h_layer(nf.hadamard_set)),
+                                       ("round 2", nf.linear_layer),
+                                       ("round 3", nf.phase_layer)), c.measured))
     if args.check:
         replay = statevector.run_statevector(nf.to_circuit(c.n_qubits, c.measured))
         original = statevector.run_statevector(c)
@@ -82,12 +67,9 @@ def cmd_decompose(args, out, err) -> int:
     except ClassificationError:
         print("decompose requires a Clifford-only circuit", file=err)
         return 1
-    text = _emit_sections(c.n_qubits, c.measured, [
-        ("M1", onf.m1),
-        ("H", normalform._h_layer(onf.hadamard_set)),
-        ("M2", onf.m2),
-    ])
-    out.write(text)
+    out.write(_emit(c.n_qubits, None, (("M1", onf.m1),
+                                       ("H", normalform._h_layer(onf.hadamard_set)),
+                                       ("M2", onf.m2)), c.measured))
     if args.check:
         if not statevector.proportional_as_operators(
                 c, onf.to_circuit(c.n_qubits, c.measured), 1e-9):
@@ -272,7 +254,7 @@ def run_command(argv, out=None, err=None) -> int:
     except (ParseError, ClassificationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    except (CapacityError, MemoryError) as exc:
+    except (CapacityError, MemoryError, OverflowError) as exc:
         print(f"capacity exceeded: {str(exc) or 'out of memory'}", file=err)
         return 2
     except InvariantError as exc:

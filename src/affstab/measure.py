@@ -232,8 +232,7 @@ def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, Dy
     # reads only positions before it.  So the first position where two
     # outcomes differ is free, and counting up lists them sorted.
     count = 1 << rank
-    codes = iter(gf2.ints(
-        ((np.arange(count) >> np.arange(rank - 1, -1, -1)[:, None]) & 1).astype(np.uint8)))
+    codes = (gf2.counting_column(rank, j) for j in range(rank - 1, -1, -1))
     fixed = {check & -check: check for check in readout.checks}
     cols, ones = {}, (1 << count) - 1
     for k in range(size):

@@ -175,31 +175,13 @@ def ht_strong_count(c: Circuit, subset, alpha,
     full = (1 << (1 << m)) - 1
     values = [0] * c.n_qubits
     for j, q in enumerate(positions):
-        values[q] = _assignment_mask(m, j)
+        values[q] = gf2.counting_column(m, j)
     for g in f.gates:
         _apply_classical(values, g, full)
     match = full
     for q, bit in zip(subset, alpha):
         match &= values[q] if bit else values[q] ^ full
     return CountResult(match.bit_count(), m)
-
-
-def _assignment_mask(m: int, j: int) -> int:
-    """Bit i of the result is bit j of i, for i < 2^m.
-
-    The mask repeats with period 2^(j+1) bits, so it is built from one
-    repeated byte pattern in linear time (a big-integer division, the
-    closed form, is super-linear).
-    """
-    if j < 3:
-        pattern = bytes([(0xAA, 0xCC, 0xF0)[j]])
-    else:
-        half = 1 << (j - 3)
-        pattern = bytes(half) + b"\xff" * half
-    size = 1 << m
-    if size < 8:
-        return pattern[0] & ((1 << size) - 1)
-    return int.from_bytes(pattern * (size // 8 // len(pattern)), "little")
 
 
 # ---------------------------------------------------------------------------

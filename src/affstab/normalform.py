@@ -14,11 +14,12 @@ Signed Pauli terms i^e * X(x) * Z(z) are conjugated through gates as a
 bit-sliced stack (the tableau update of Aaronson and Gottesman,
 quant-ph/0406196, laid out as in Gidney's Stim): the x and z parts are
 one Python int per qubit column, bit i holding row i, and the
-i-exponents e = lo + 2 hi are two ints over the rows.  Each gate is one
-or two XORs, ANDs or swaps of whole columns.  ``_PauliStack.apply``
-holds the only copy of the per-gate rules.  Both normal forms compute
-on bit rows from start to finish; numpy appears only in ``PauliTerm``
-and ``conjugated_generators``, which return arrays.
+i-exponents e = lo + 2 hi are two ints over the rows.  Each gate of
+all eight Clifford kinds is one or two XORs, ANDs or swaps of whole
+columns, so no circuit is expanded, and M2^dagger is M2 reversed with
+each P applied as PDG.  ``_PauliStack.apply`` holds the only copy of
+the per-gate rules.  Both normal forms compute on bit rows throughout;
+numpy appears only in ``PauliTerm`` and ``conjugated_generators``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import gf2
 from .affine import AffineForm, bit_rows, check_clifford_width, run_clifford
-from .circuit import Circuit, CircuitClass, Gate, GateKind, _gate, basic_clifford_gates, classify
+from .circuit import Circuit, CircuitClass, Gate, GateKind, _gate, classify
 from .errors import ClassificationError, InvariantError
 
 
@@ -143,6 +144,12 @@ class _PauliStack:
             self.hi ^= self.lo & xa
             self.lo ^= xa
             z[a] ^= xa
+        elif kind is GateKind.PDG:
+            # e -= x_a: the borrow out of lo goes to hi.
+            xa = x[a]
+            self.hi ^= xa & ~self.lo
+            self.lo ^= xa
+            z[a] ^= xa
         elif kind is GateKind.X:
             self.hi ^= z[a]
         elif kind is GateKind.Z:
@@ -156,6 +163,10 @@ class _PauliStack:
             self.hi ^= x[a] & x[b]
             z[a] ^= x[b]
             z[b] ^= x[a]
+        elif kind is GateKind.SWAP:
+            b = qs[1]
+            x[a], x[b] = x[b], x[a]
+            z[a], z[b] = z[b], z[a]
         else:
             raise ValueError(f"cannot conjugate through {kind.value}")
 
@@ -173,7 +184,7 @@ def _generator_stack(c: Circuit) -> _PauliStack:
     n = c.n_qubits
     check_clifford_width(n)
     st = _PauliStack([1 << a for a in range(n)], [0] * n, 0, 0)
-    for g in basic_clifford_gates(c.gates):
+    for g in c.gates:
         st.apply(g.kind, g.qubits)
     # Row i squares to +I iff e_i + x_i.z_i is even.
     odd = st.lo
@@ -343,17 +354,6 @@ class OperatorNormalForm:
         return Circuit(n, self.m1 + _h_layer(self.hadamard_set) + self.m2, None, measured)
 
 
-def _inverse_sequence(gates: tuple[Gate, ...]) -> list[Gate]:
-    """Gate list realizing the inverse circuit (P inverts as P^3)."""
-    out: list[Gate] = []
-    for g in reversed(gates):
-        if g.kind is GateKind.P:
-            out += [g, g, g]
-        else:
-            out.append(g)  # CNOT, X, Z, CZ are involutions
-    return out
-
-
 def decompose_operator(c: Circuit) -> OperatorNormalForm:
     """Factor a Clifford circuit as M2 * H * M1 up to a global constant.
 
@@ -371,8 +371,9 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
     m2 = nf.linear_layer + nf.phase_layer
 
     st = _generator_stack(c)
-    for g in _inverse_sequence(m2):
-        st.apply(g.kind, g.qubits)
+    # M2^dagger: CNOT, X, Z and CZ are involutions, and P inverts as PDG.
+    for g in reversed(m2):
+        st.apply(GateKind.PDG if g.kind is GateKind.P else g.kind, g.qubits)
     for k in nf.hadamard_set:
         st.apply(GateKind.H, (k,))
 

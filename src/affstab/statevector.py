@@ -71,14 +71,22 @@ def _apply_gate_tensor(state: np.ndarray, g: Gate) -> None:
     elif kind is GateKind.TOFFOLI:
         i0, i1 = _slices(nd, k, (1, 1, 0)), _slices(nd, k, (1, 1, 1))
         state[i0], state[i1] = state[i1].copy(), state[i0].copy()
-    elif kind is GateKind.ZROT:
-        num, den = g.angle
-        state[_slices(nd, k, (1,))] *= np.exp(1j * math.pi * num / den)
-    elif kind is GateKind.CZROT:
-        num, den = g.angle
-        state[_slices(nd, k, (1, 1))] *= np.exp(1j * math.pi * num / den)
+    elif kind is GateKind.ZROT or kind is GateKind.CZROT:
+        state[_slices(nd, k, (1,) * len(k))] *= _phase(*g.angle)
     else:  # pragma: no cover
         raise ValueError(f"unsupported gate kind {kind}")
+
+
+def _phase(num: int, den: int) -> complex:
+    """exp(i*pi*num/den); past float range, num/den is first reduced mod
+    2 (the phase's period) by exact integer division."""
+    try:
+        z = 1j * math.pi * num / den
+    except OverflowError:
+        z = complex(0.0, math.inf)
+    if not math.isfinite(z.imag):
+        z = 1j * math.pi * (num % (2 * den) / den)
+    return np.exp(z)
 
 
 def run_statevector(c: Circuit) -> np.ndarray:

@@ -44,7 +44,9 @@ def test_parse_errors_carry_line_numbers():
         ("qubits 1\nprep 0 nan 0 0 0\n", 2, "normalized"),
         ("qubits 1\nprep 0 1e200 0 0 0\n", 2, "normalized"),
         ("qubits 2\nzrot 0 1 0\n", 2, "denominator"),
-        ("qubits 2\nmeasure 0 0\n", 2, "duplicate"),
+        ("qubits 2\nmeasure 0 0\n", 2, "measured qubits must be distinct"),
+        ("qubits 2\nmeasure 0 5\n", 2, "measured qubit 5 out of range"),
+        ("qubits 2\nmeasure -1\n", 2, "measured qubit -1 out of range"),
         ("qubits 0\n", 1, "positive"),
         ("qubits 2 3\n", 1, "'qubits' takes 1 argument(s)"),
         ("qubits 2\nh x\n", 2, "'h': expected integer, got 'x'"),

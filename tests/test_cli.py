@@ -269,6 +269,39 @@ def test_bare_memory_error_names_the_capacity(tmp_path, monkeypatch):
     assert run(["sample", path]) == (2, "", "capacity exceeded: out of memory\n")
 
 
+# Widths past the index range: the HT count's per-qubit list and the
+# product-front prep list overflow before anything is allocated.
+HUGE_HT = f"qubits {10 ** 30}\ntoffoli 0 1 2\nmeasure 2\n"
+HUGE_PRODUCT = f"qubits {10 ** 30}\ntoffoli 0 1 2\nzrot 0 1 4\nmeasure 2\n"
+
+
+def test_width_past_the_index_range_is_capacity(tmp_path):
+    runs = [["prob", circuit_file(tmp_path, "ht.cq", HUGE_HT), "--outcome", "0"],
+            ["sample", circuit_file(tmp_path, "pf.cq", HUGE_PRODUCT)]]
+    for argv in runs:
+        status, out, err = run(argv)
+        assert (status, out) == (2, ""), err
+        assert err.startswith("capacity exceeded: ") and "Traceback" not in err
+    code = ("import sys\n"
+            "from affstab.cli import run_command\n"
+            f"print([run_command(argv) for argv in {runs!r}])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                   os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "[2, 2]\n"
+    assert done.stderr.count("capacity exceeded: ") == 2
+    assert "Traceback" not in done.stderr
+
+
+def test_verify_reduces_angles_past_float_range(tmp_path):
+    for name, text in (("zrot.cq", f"qubits 1\nzrot 0 {10 ** 400} 1\n"),
+                       ("czrot.cq", f"qubits 2\nczrot 0 1 1 {10 ** 399}\n")):
+        status, out, err = run(["verify", circuit_file(tmp_path, name, text)])
+        assert (status, err) == (0, ""), err
+        assert out.endswith("verdict: PASS\n")
+
+
 def test_negative_shots_is_bad_input(tmp_path):
     # Refused before the file is read, on every sampling route.
     for name, text in (("ghz2.cq", GHZ), ("ht.cq", HT), ("pf.cq", PRODUCT)):

@@ -166,7 +166,7 @@ def test_ht_strong_count_checks_query_before_counting(monkeypatch):
     def no_masks(*args):
         raise AssertionError("mask built before the query was checked")
 
-    monkeypatch.setattr(nc, "_assignment_mask", no_masks)
+    monkeypatch.setattr(nc.gf2, "counting_column", no_masks)
     for subset, alpha in ([2], [1, 0]), ([2, 2], [1, 0]), ([3], [1]), ([2], [2]):
         with pytest.raises(ValueError):
             ht_strong_count(c, subset, alpha)
@@ -367,12 +367,13 @@ def test_eval_classical_batch_matches_oracle():
 
 
 def test_assignment_masks_match_division_formula():
-    from affstab.nearclifford import _assignment_mask
+    # HT counting's assignment masks are gf2's counting columns.
+    from affstab.gf2 import counting_column
     for m in range(13):
         full = (1 << (1 << m)) - 1
         for j in range(m):
             block = 1 << (1 << j)
-            assert _assignment_mask(m, j) == (full // (block + 1)) << (1 << j)
+            assert counting_column(m, j) == (full // (block + 1)) << (1 << j)
 
 
 def test_ht_strong_count_at_default_width_is_fast():

@@ -11,7 +11,8 @@ from affstab import (Circuit, GateKind, amplitude, gate, gf2, init_zero, parse,
                      run_clifford, synthesize_state_prep)
 from affstab.affine import MAX_CLIFFORD_QUBITS
 from affstab.errors import CapacityError, ClassificationError
-from affstab.normalform import (PauliTerm, _generator_stack, conjugate_pauli,
+from affstab.circuit import basic_clifford_gates
+from affstab.normalform import (PauliTerm, _generator_stack, _PauliStack, conjugate_pauli,
                                 conjugated_generators, decompose_operator)
 from affstab.statevector import (circuit_unitary, equal_up_to_phase,
                                  proportional_as_operators, run_statevector)
@@ -49,15 +50,15 @@ def test_conjugation_textbook_relations():
 
 def test_conjugation_matches_dense_matrices():
     rng = np.random.default_rng(21)
-    kinds = [GateKind.H, GateKind.P, GateKind.X, GateKind.Z,
-             GateKind.CNOT, GateKind.CZ]
-    for _ in range(300):
+    kinds = [GateKind.H, GateKind.P, GateKind.PDG, GateKind.X, GateKind.Z,
+             GateKind.CNOT, GateKind.CZ, GateKind.SWAP]
+    for _ in range(400):
         n = int(rng.integers(1, 4))
         term = PauliTerm.make(n, int(rng.integers(0, 4)),
                               rng.integers(0, 2, n, dtype=np.uint8),
                               rng.integers(0, 2, n, dtype=np.uint8))
         kind = kinds[rng.integers(0, len(kinds))]
-        arity = 2 if kind in (GateKind.CNOT, GateKind.CZ) else 1
+        arity = 2 if kind in (GateKind.CNOT, GateKind.CZ, GateKind.SWAP) else 1
         if arity > n:
             continue
         g = gate(kind, *(int(q) for q in rng.choice(n, arity, replace=False)))
@@ -269,6 +270,56 @@ def test_normal_forms_match_numpy_reference(c):
         reference_state_prep(run_clifford(c))
     onf = decompose_operator(c)
     assert (onf.m1, onf.hadamard_set, onf.m2) == reference_decompose_operator(c)
+
+
+def random_stack(rng, rows, n):
+    """A _PauliStack of ``rows`` random rows on n qubits."""
+    def word():
+        return int.from_bytes(rng.bytes((rows + 7) // 8), "little") & ((1 << rows) - 1)
+    return _PauliStack([word() for _ in range(n)], [word() for _ in range(n)],
+                       word(), word())
+
+
+def stack_state(st):
+    return list(st.x), list(st.z), st.lo, st.hi
+
+
+def test_stack_pdg_and_swap_match_their_expansions():
+    # PDG is P applied three times and SWAP three CNOTs, on stacks whose
+    # rows span more than one 64-bit word.
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        rows, n = int(rng.integers(65, 200)), int(rng.integers(2, 7))
+        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+        cnot = GateKind.CNOT
+        for kind, qs, expansion in (
+                (GateKind.PDG, (a,), [(GateKind.P, (a,))] * 3),
+                (GateKind.SWAP, (a, b), [(cnot, (a, b)), (cnot, (b, a)), (cnot, (a, b))])):
+            st = random_stack(rng, rows, n)
+            want = _PauliStack(*stack_state(st))
+            for k, ks in expansion:
+                want.apply(k, ks)
+            st.apply(kind, qs)
+            assert stack_state(st) == stack_state(want)
+
+
+def test_pdg_and_swap_are_conjugated_as_they_stand():
+    # Circuits that hold PDG and SWAP gates (no parser, so SWAP is not
+    # expanded) give the expanded circuit's stack and operator form, the
+    # numpy reference's, and a factorization proportional to C.
+    rng = np.random.default_rng(28)
+    for _ in range(30):
+        n = int(rng.integers(2, 11))
+        c = random_clifford_circuit(rng, n, int(rng.integers(1, 8 * n)), kinds=ALL_CLIFFORD)
+        c = Circuit(n, c.gates + (gate(GateKind.PDG, n - 1), gate(GateKind.SWAP, 0, n - 1)))
+        expanded = Circuit(n, tuple(basic_clifford_gates(c.gates)))
+        assert stack_state(_generator_stack(c)) == stack_state(_generator_stack(expanded))
+        for a, b in zip(stack_arrays(_generator_stack(c), n), reference_generator_stack(c)):
+            assert np.array_equal(a, b)
+        onf = decompose_operator(c)
+        assert onf == decompose_operator(expanded)
+        assert (onf.m1, onf.hadamard_set, onf.m2) == reference_decompose_operator(c)
+        assert proportional_as_operators(c, onf.to_circuit(n), 1e-9)
 
 
 def test_stack_squares_check_raises_under_dash_o():

@@ -111,3 +111,15 @@ def test_unitary_columns_are_basis_outputs():
 def test_total_variation():
     assert total_variation({"0": 1.0}, {"0": 1.0}) == 0
     assert total_variation({"0": 1.0}, {"1": 1.0}) == pytest.approx(1.0)
+
+
+def test_rotation_angles_past_float_range_are_exact():
+    # exp(i*pi*num/den) has period 2 in num/den: an even huge numerator
+    # is the identity and an odd one is Z; a huge denominator is ~0.
+    big = 10 ** 400
+    for num, den, want in ((big, 1, 1), (big + 1, 1, -1), (-big - 1, 1, -1),
+                           (3 * big, big, -1), (1, big, 1)):
+        for text in (f"qubits 1\nx 0\nzrot 0 {num} {den}",
+                     f"qubits 2\nx 0\nx 1\nczrot 0 1 {num} {den}"):
+            vec = run_statevector(parse(text))
+            assert abs(vec[-1] - want) < 1e-12 and not vec[:-1].any()
