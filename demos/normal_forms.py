@@ -48,10 +48,10 @@ print()
 
 print("Heisenberg view: conjugating each X generator through the circuit")
 print("gives signed Pauli terms (the data the operator form is built from):")
-for i, sigma in enumerate(conjugated_generators(c)):
-    print(f"    C X{i} C+ = i^{sigma.phase_exp} "
-          f"X{np.nonzero(sigma.xpart)[0].tolist()} "
-          f"Z{np.nonzero(sigma.zpart)[0].tolist()}")
+for i, (e, x, z) in enumerate(conjugated_generators(c)):
+    print(f"    C X{i} C+ = i^{e} "
+          f"X{[a for a in range(c.n_qubits) if x >> a & 1]} "
+          f"Z{[a for a in range(c.n_qubits) if z >> a & 1]}")
 print()
 
 print("Operator factorization C ~ M2 * H * M1:")

@@ -19,9 +19,9 @@ from .errors import CapacityError, ClassificationError, ParseError
 from .measure import (DyadicProb, Outcome, enumerate_support, strong_prob,
                       weak_sample_many)
 from .nearclifford import ClassicalFunction, CountResult, ht_strong_count
-from .normalform import (NormalFormState, OperatorNormalForm, PauliTerm,
-                         conjugate_pauli, conjugated_generators,
-                         decompose_operator, synthesize_state_prep)
+from .normalform import (NormalFormState, OperatorNormalForm, conjugate_pauli,
+                         conjugated_generators, decompose_operator,
+                         synthesize_state_prep)
 from .statevector import (distribution, equal_up_to_phase,
                           proportional_as_operators, run_statevector)
 
@@ -35,7 +35,7 @@ __all__ = [
     "DyadicProb", "Outcome", "enumerate_support", "strong_prob",
     "weak_sample_many",
     "ClassicalFunction", "CountResult", "ht_strong_count",
-    "NormalFormState", "OperatorNormalForm", "PauliTerm", "conjugate_pauli",
+    "NormalFormState", "OperatorNormalForm", "conjugate_pauli",
     "conjugated_generators", "decompose_operator", "synthesize_state_prep",
     "distribution", "equal_up_to_phase", "proportional_as_operators",
     "run_statevector",

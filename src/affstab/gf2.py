@@ -18,7 +18,10 @@ The numpy functions take and return uint8 arrays with entries in
 the rest, ``row_echelon`` and ``decompose_invertible`` convert and call
 the int-row core; they, ``mat_mul``, ``bits`` and ``dot`` are kept as
 numpy functions because the benchmark traces them by name and the
-tests compare against them.  Everything here is exact.
+tests compare against them.  No module outside this one calls ``bits``
+(only ``row_echelon`` and ``decompose_invertible`` do), and ``dot``'s
+only callers are ``affine.LinForm`` and ``affine.QuadForm``.
+Everything here is exact.
 
 All functions are pure; inputs are never mutated.  Pivots are the
 lowest-index columns and rows, so outputs are deterministic.

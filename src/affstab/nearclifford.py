@@ -11,10 +11,14 @@ classical and diagonal gates) are sampled the same way with the input
 bits drawn from the per-qubit |1>-probabilities; the diagonal gates
 contribute only phases and never touch the outcome distribution, so
 the sampler ignores them outright.
+
+Both families hold one entry per qubit, so a width past the index range
+is refused with ``CapacityError`` before anything is allocated.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +33,14 @@ from .statevector import normalized_prep
 # The widest Hadamard layer ht_strong_count enumerates: the default and
 # the hard maximum of ``width_limit`` (each qubit's mask has 2^m bits).
 DEFAULT_WIDTH_LIMIT = 24
+
+
+def _check_width(n: int) -> None:
+    """Raise ``CapacityError`` for a width past the index range, before
+    anything is allocated: no list or array can hold one entry per qubit."""
+    if n > sys.maxsize:
+        raise CapacityError(f"near-Clifford simulation cannot index {n} qubits; "
+                            f"the limit is {sys.maxsize}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,7 @@ def _split_ht(c: Circuit) -> tuple[list[int], ClassicalFunction]:
     """
     if c.prep is not None:
         raise ClassificationError("HT circuits take the all-zeros input")
+    _check_width(c.n_qubits)
     i = _h_prefix(c.gates)
     suffix = c.gates[i:]
     bad = _first_outside(suffix, CLASSICAL_KINDS)
@@ -155,7 +168,8 @@ def ht_strong_count(c: Circuit, subset, alpha,
         ValueError: if ``width_limit`` is negative, or the query fails
         ``measure.check_query`` (checked before any mask is built).
         CapacityError: if ``width_limit`` exceeds DEFAULT_WIDTH_LIMIT
-        (it may only lower the cap), or m exceeds ``width_limit``;
+        (it may only lower the cap), the width is past the index range,
+        or m exceeds ``width_limit``;
         exact probabilities for wide Hadamard layers are #P-hard, so
         the wall is enforced rather than crossed.
     """
@@ -201,6 +215,7 @@ def product_front_batch(c: Circuit, shots: int,
     if bad is not None:
         raise ClassificationError(
             f"gate {bad.kind.value} is neither classical nor diagonal")
+    _check_width(c.n_qubits)
     p_one = _p_one(c)
     xs = (rng.random((shots, len(p_one))) < p_one).astype(np.uint8)
     return eval_classical_batch(classical_part(c), xs)[:, list(c.measured)]

@@ -18,16 +18,18 @@ i-exponents e = lo + 2 hi are two ints over the rows.  Each gate of
 all eight Clifford kinds is one or two XORs, ANDs or swaps of whole
 columns, so no circuit is expanded, and M2^dagger is M2 reversed with
 each P applied as PDG.  ``_PauliStack.apply`` holds the only copy of
-the per-gate rules.  Both normal forms compute on bit rows throughout;
-numpy appears only in ``PauliTerm`` and ``conjugated_generators``.
+the per-gate rules.  The public signed Pauli is one row of that stack
+read out as a tuple (e, x, z) of ints, meaning i^e * X(x) * Z(z) with
+e in 0..3 and qubit a at bit a of x and of z: ``conjugate_pauli``
+takes and returns one, ``conjugated_generators`` returns the n rows
+C X_i C^dagger.  Everything here computes on bit rows; nothing imports
+numpy.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import gf2
 from .affine import AffineForm, bit_rows, check_clifford_width, run_clifford
@@ -37,73 +39,6 @@ from .errors import ClassificationError, InvariantError
 
 # ---------------------------------------------------------------------------
 # Signed Pauli terms
-
-
-@dataclass
-class PauliTerm:
-    """(-1)^u_sign * i^v_sign * X(xpart) * Z(zpart) on n qubits.
-
-    The sign pair is kept canonical: u_sign in {0, 1} and v_sign in
-    {0, 1}, i.e. the total i-exponent is 2*u_sign + v_sign (mod 4).
-    """
-
-    n: int
-    u_sign: int
-    v_sign: int
-    xpart: np.ndarray  # (n,) uint8
-    zpart: np.ndarray  # (n,) uint8
-
-    @property
-    def phase_exp(self) -> int:
-        """Exponent e of the overall i^e factor, mod 4."""
-        return (2 * self.u_sign + self.v_sign) % 4
-
-    @staticmethod
-    def make(n: int, phase_exp: int, xpart, zpart) -> "PauliTerm":
-        e = phase_exp % 4
-        return PauliTerm(n, e // 2, e % 2, gf2.bits(xpart), gf2.bits(zpart))
-
-    @staticmethod
-    def x_gen(n: int, k: int) -> "PauliTerm":
-        x = np.zeros(n, dtype=np.uint8)
-        x[k] = 1
-        return PauliTerm.make(n, 0, x, np.zeros(n, dtype=np.uint8))
-
-    @staticmethod
-    def z_gen(n: int, k: int) -> "PauliTerm":
-        z = np.zeros(n, dtype=np.uint8)
-        z[k] = 1
-        return PauliTerm.make(n, 0, np.zeros(n, dtype=np.uint8), z)
-
-    def __mul__(self, other: "PauliTerm") -> "PauliTerm":
-        # X(x)Z(z) X(x')Z(z') = (-1)^(z.x') X(x+x') Z(z+z')
-        swap = gf2.dot(self.zpart, other.xpart)
-        e = (self.phase_exp + other.phase_exp + 2 * swap) % 4
-        return PauliTerm.make(self.n, e, self.xpart ^ other.xpart,
-                              self.zpart ^ other.zpart)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PauliTerm) and self.n == other.n
-                and self.phase_exp == other.phase_exp
-                and np.array_equal(self.xpart, other.xpart)
-                and np.array_equal(self.zpart, other.zpart))
-
-    def is_hermitian(self) -> bool:
-        """True iff the term squares to +identity."""
-        return (self.phase_exp + gf2.dot(self.xpart, self.zpart)) % 2 == 0
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix (intended for small-n verification only)."""
-        single = {
-            (0, 0): np.eye(2, dtype=complex),
-            (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-            (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-            (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
-        }
-        out = np.array([[1j ** self.phase_exp]], dtype=complex)
-        for x, z in zip(self.xpart, self.zpart):
-            out = np.kron(out, single[(int(x), int(z))])
-        return out
 
 
 def _set_bits(x: int):
@@ -171,12 +106,34 @@ class _PauliStack:
             raise ValueError(f"cannot conjugate through {kind.value}")
 
 
-def conjugate_pauli(p: PauliTerm, g: Gate) -> PauliTerm:
-    """g p g^dagger, exact sign included."""
-    st = _PauliStack([int(b) for b in p.xpart], [int(b) for b in p.zpart],
-                     p.v_sign, p.u_sign)
+def _transpose(cols: list[int], k: int) -> list[int]:
+    """The k rows of the bit columns ``cols``: bit a of row i is bit i of
+    ``cols[a]``.  The columns are written as k-digit binary strings, last
+    column first, into one string, so row i is every k-th digit from
+    position k-1-i: one strided slice each, in C at any density."""
+    digits = "".join([format(col, f"0{k}b") for col in reversed(cols)])
+    return [int(digits[j::k], 2) for j in range(k - 1, -1, -1)]
+
+
+def _rows(st: _PauliStack, k: int) -> list[tuple[int, int, int]]:
+    """The first k rows of a stack as signed Paulis (e, x, z), qubit a at
+    bit a of x and of z."""
+    return [((st.lo >> i & 1) + 2 * (st.hi >> i & 1), x, z)
+            for i, (x, z) in enumerate(zip(_transpose(st.x, k), _transpose(st.z, k)))]
+
+
+def conjugate_pauli(p: tuple[int, int, int], g: Gate) -> tuple[int, int, int]:
+    """g p g^dagger for the signed Pauli p = (e, x, z), exact sign included.
+
+    Raises:
+        ValueError: if g is not a Clifford gate.
+    """
+    e, x, z = p
+    n = max(x.bit_length(), z.bit_length(), max(g.qubits) + 1)
+    st = _PauliStack([x >> a & 1 for a in range(n)], [z >> a & 1 for a in range(n)],
+                     e & 1, e >> 1 & 1)
     st.apply(g.kind, g.qubits)
-    return PauliTerm.make(p.n, st.lo + 2 * st.hi, st.x, st.z)
+    return _rows(st, 1)[0]
 
 
 def _generator_stack(c: Circuit) -> _PauliStack:
@@ -195,16 +152,16 @@ def _generator_stack(c: Circuit) -> _PauliStack:
     return st
 
 
-def conjugated_generators(c: Circuit) -> list[PauliTerm]:
-    """sigma_i = C X_i C^dagger for each qubit i, folded gate by gate."""
+def conjugated_generators(c: Circuit) -> list[tuple[int, int, int]]:
+    """sigma_i = C X_i C^dagger for each qubit i, as signed Paulis (e, x, z).
+
+    Raises:
+        ClassificationError: if the circuit is not Clifford-only.
+        CapacityError: past ``MAX_CLIFFORD_QUBITS``.
+    """
     if classify(c) is not CircuitClass.CLIFFORD_ONLY:
         raise ClassificationError("circuit is not Clifford-only")
-    n = c.n_qubits
-    st = _generator_stack(c)
-    x, z = gf2.bit_matrix(st.x, n).T, gf2.bit_matrix(st.z, n).T
-    e = gf2.bit_matrix([st.lo, st.hi], n)
-    return [PauliTerm.make(n, int(e[0, i]) + 2 * int(e[1, i]), x[i], z[i])
-            for i in range(n)]
+    return _rows(_generator_stack(c), c.n_qubits)
 
 
 # ---------------------------------------------------------------------------

@@ -77,16 +77,16 @@ def _apply_gate_tensor(state: np.ndarray, g: Gate) -> None:
         raise ValueError(f"unsupported gate kind {kind}")
 
 
+# Past 2^53 an int no longer converts to a float exactly.
+_EXACT_FLOAT_INT = 1 << 53
+
+
 def _phase(num: int, den: int) -> complex:
-    """exp(i*pi*num/den); past float range, num/den is first reduced mod
-    2 (the phase's period) by exact integer division."""
-    try:
-        z = 1j * math.pi * num / den
-    except OverflowError:
-        z = complex(0.0, math.inf)
-    if not math.isfinite(z.imag):
-        z = 1j * math.pi * (num % (2 * den) / den)
-    return np.exp(z)
+    """exp(i*pi*num/den); when |num| or den is past 2^53, num/den is first
+    reduced mod 2 (the phase's period) by exact integer division."""
+    if abs(num) > _EXACT_FLOAT_INT or den > _EXACT_FLOAT_INT:
+        return np.exp(1j * math.pi * (num % (2 * den) / den))
+    return np.exp(1j * math.pi * num / den)
 
 
 def run_statevector(c: Circuit) -> np.ndarray:

@@ -168,6 +168,90 @@ def reference_generator_stack(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.nd
     return x, z, e
 
 
+def pauli_matrix(n: int, e: int, x: int, z: int) -> np.ndarray:
+    """Dense i^e * X(x) * Z(z) on n qubits, qubit a at bit a of x and of z
+    (qubit 0 is the most significant bit of the matrix index)."""
+    single = {
+        (0, 0): np.eye(2, dtype=complex),
+        (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+        (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+        (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
+    }
+    out = np.array([[1j ** e]], dtype=complex)
+    for a in range(n):
+        out = np.kron(out, single[(x >> a & 1, z >> a & 1)])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# A second ground truth past the oracle: the stabilizer rows of C|0...0>.
+
+
+def stabilizer_rows(c: Circuit) -> list[tuple[int, int, int]]:
+    """C Z_i C^dagger for each qubit i, as signed Paulis (e, x, z), pushed
+    through the circuit on ``normalform._PauliStack`` (Aaronson and
+    Gottesman's update), which shares no code with the affine form."""
+    from affstab.normalform import _PauliStack, _rows
+    n = c.n_qubits
+    stack = _PauliStack([0] * n, [1 << a for a in range(n)], 0, 0)
+    for g in c.gates:
+        stack.apply(g.kind, g.qubits)
+    return _rows(stack, n)
+
+
+def unfixed_reason(s, row: tuple[int, int, int]) -> str | None:
+    """Why the signed Pauli ``row`` = (e, x, z) does not fix the state of
+    the affine form ``s``, or None when it does.
+
+    With a = F[:m] x read off the frame (x outside col(R) fails), lam
+    l's coefficients, gamma = lam.a, B = cross + cross^T and z_R = R^T z,
+    the row fixes the state iff e + gamma is even, gamma lam + B a + z_R
+    is the zero parameter vector, and (e + gamma)/2 + gamma l0 + q(a) -
+    q(0) + z_R.a + z.t is even (Dehaene and De Moor, PRA 68, 042318).
+    The n rows of ``stabilizer_rows`` all fix exactly one state.
+    """
+    from affstab.affine import _frame_cols, bit_rows
+    from affstab.normalform import _set_bits
+    e, x, z = row
+    rows, t, lam, l0, sym, lin = bit_rows(s)
+    cols, m = _frame_cols(s), s.m
+    a = 0
+    for k in _set_bits(x):
+        a ^= cols[k]
+    if a >> m:
+        return "x is outside col(R)"
+    if x != sum(((r & a).bit_count() & 1) << k for k, r in enumerate(rows)):
+        return "R a != x: the frame is out of step with R"
+    gamma = (lam & a).bit_count() & 1
+    if (e + gamma) & 1:
+        return "e + gamma is odd"
+    ba = pairs = 0
+    for p in _set_bits(a):
+        ba ^= sym[p]
+        pairs += (sym[p] & a).bit_count()
+    z_r = 0
+    for k in _set_bits(z):
+        z_r ^= rows[k]
+    if (lam if gamma else 0) ^ ba ^ z_r:
+        return "gamma lam + B a + z_R is not zero"
+    # q(a) - q(0): each cross term of a is counted twice in pairs.
+    sign = ((e + gamma) // 2 + gamma * l0 + (pairs >> 1) + (lin & a).bit_count()
+            + (z_r & a).bit_count() + (z & t).bit_count())
+    if sign & 1:
+        return "the row maps the state to minus itself"
+    return None
+
+
+def stack_check(c: Circuit, s) -> str | None:
+    """The first stabilizer row of C|0...0> that does not fix ``s``, with
+    the reason, or None when ``s`` is C|0...0> up to a global phase."""
+    for i, row in enumerate(stabilizer_rows(c)):
+        reason = unfixed_reason(s, row)
+        if reason is not None:
+            return f"row {i}: {reason}"
+    return None
+
+
 def reference_row_echelon(m) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form by column-by-column Gauss-Jordan."""
     r = np.asarray(m, dtype=np.uint8) % 2

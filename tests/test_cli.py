@@ -269,8 +269,8 @@ def test_bare_memory_error_names_the_capacity(tmp_path, monkeypatch):
     assert run(["sample", path]) == (2, "", "capacity exceeded: out of memory\n")
 
 
-# Widths past the index range: the HT count's per-qubit list and the
-# product-front prep list overflow before anything is allocated.
+# Widths past the index range: ``nearclifford`` refuses them before
+# anything is allocated.
 HUGE_HT = f"qubits {10 ** 30}\ntoffoli 0 1 2\nmeasure 2\n"
 HUGE_PRODUCT = f"qubits {10 ** 30}\ntoffoli 0 1 2\nzrot 0 1 4\nmeasure 2\n"
 
@@ -292,6 +292,17 @@ def test_width_past_the_index_range_is_capacity(tmp_path):
     assert done.stdout == "[2, 2]\n"
     assert done.stderr.count("capacity exceeded: ") == 2
     assert "Traceback" not in done.stderr
+
+
+def test_near_clifford_width_past_the_index_range_names_the_width(tmp_path):
+    # The HT sampler's (shots, n) array, the HT count's per-qubit list
+    # and the product-front input law would each need n entries.
+    ht = circuit_file(tmp_path, "ht.cq", f"qubits {10 ** 30}\nh 0\nh 1\ntoffoli 0 1 2\nmeasure 2\n")
+    pf = circuit_file(tmp_path, "pf.cq", f"qubits {10 ** 30}\nzrot 0 1 4\ntoffoli 0 1 2\nmeasure 2\n")
+    want = (f"capacity exceeded: near-Clifford simulation cannot index {10 ** 30} "
+            f"qubits; the limit is {sys.maxsize}\n")
+    for argv in (["sample", ht], ["prob", ht, "--outcome", "1"], ["sample", pf]):
+        assert run(argv) == (2, "", want), argv
 
 
 def test_verify_reduces_angles_past_float_range(tmp_path):

@@ -12,11 +12,11 @@ from affstab import (Circuit, GateKind, amplitude, gate, gf2, init_zero, parse,
 from affstab.affine import MAX_CLIFFORD_QUBITS
 from affstab.errors import CapacityError, ClassificationError
 from affstab.circuit import basic_clifford_gates
-from affstab.normalform import (PauliTerm, _generator_stack, _PauliStack, conjugate_pauli,
+from affstab.normalform import (_generator_stack, _PauliStack, conjugate_pauli,
                                 conjugated_generators, decompose_operator)
 from affstab.statevector import (circuit_unitary, equal_up_to_phase,
                                  proportional_as_operators, run_statevector)
-from helpers import (random_clifford_circuit, reference_decompose_operator,
+from helpers import (pauli_matrix, random_clifford_circuit, reference_decompose_operator,
                      reference_generator_stack, reference_state_prep)
 
 LINEAR_KINDS = {GateKind.CNOT, GateKind.X}
@@ -24,28 +24,20 @@ PHASE_KINDS = {GateKind.P, GateKind.CZ, GateKind.Z}
 
 
 # ---------------------------------------------------------------------------
-# Pauli terms
+# Signed Paulis (e, x, z): i^e X(x) Z(z), qubit a at bit a
 
 
-def test_pauli_multiplication_signs():
-    x = PauliTerm.x_gen(1, 0)
-    z = PauliTerm.z_gen(1, 0)
-    xz = x * z
-    zx = z * x
-    assert np.allclose(xz.to_matrix(), x.to_matrix() @ z.to_matrix())
-    assert np.allclose(zx.to_matrix(), z.to_matrix() @ x.to_matrix())
-    assert zx.phase_exp == (xz.phase_exp + 2) % 4
+def random_pauli(rng, n):
+    """A random signed Pauli (e, x, z) on n qubits."""
+    return (int(rng.integers(0, 4)), int(rng.integers(0, 2 ** n)),
+            int(rng.integers(0, 2 ** n)))
 
 
 def test_conjugation_textbook_relations():
-    x = PauliTerm.x_gen(1, 0)
-    assert conjugate_pauli(x, gate(GateKind.H, 0)) == PauliTerm.z_gen(1, 0)
-    y = conjugate_pauli(x, gate(GateKind.P, 0))
-    assert y.phase_exp == 1 and y.xpart.tolist() == [1] and y.zpart.tolist() == [1]
-    x0 = PauliTerm.x_gen(2, 0)
-    spread = conjugate_pauli(x0, gate(GateKind.CNOT, 0, 1))
-    assert spread.xpart.tolist() == [1, 1] and not spread.zpart.any()
-    assert spread.phase_exp == 0
+    x = (0, 0b1, 0)
+    assert conjugate_pauli(x, gate(GateKind.H, 0)) == (0, 0, 0b1)
+    assert conjugate_pauli(x, gate(GateKind.P, 0)) == (1, 0b1, 0b1)
+    assert conjugate_pauli(x, gate(GateKind.CNOT, 0, 1)) == (0, 0b11, 0)
 
 
 def test_conjugation_matches_dense_matrices():
@@ -54,35 +46,32 @@ def test_conjugation_matches_dense_matrices():
              GateKind.CNOT, GateKind.CZ, GateKind.SWAP]
     for _ in range(400):
         n = int(rng.integers(1, 4))
-        term = PauliTerm.make(n, int(rng.integers(0, 4)),
-                              rng.integers(0, 2, n, dtype=np.uint8),
-                              rng.integers(0, 2, n, dtype=np.uint8))
+        term = random_pauli(rng, n)
         kind = kinds[rng.integers(0, len(kinds))]
         arity = 2 if kind in (GateKind.CNOT, GateKind.CZ, GateKind.SWAP) else 1
         if arity > n:
             continue
         g = gate(kind, *(int(q) for q in rng.choice(n, arity, replace=False)))
         got = conjugate_pauli(term, g)
+        assert 0 <= got[0] < 4 and got[1] >> n == got[2] >> n == 0
         u = circuit_unitary(Circuit(n, (g,)))
-        want = u @ term.to_matrix() @ u.conj().T
-        assert np.allclose(got.to_matrix(), want, atol=1e-12)
+        want = u @ pauli_matrix(n, *term) @ u.conj().T
+        assert np.allclose(pauli_matrix(n, *got), want, atol=1e-12)
 
 
 def test_conjugation_round_trip_and_pauli_closure():
     rng = np.random.default_rng(22)
     for _ in range(100):
         n = int(rng.integers(1, 4))
-        term = PauliTerm.make(n, int(rng.integers(0, 4)),
-                              rng.integers(0, 2, n, dtype=np.uint8),
-                              rng.integers(0, 2, n, dtype=np.uint8))
+        term = random_pauli(rng, n)
         for kind, inverse_reps in ((GateKind.H, 1), (GateKind.P, 3),
                                    (GateKind.X, 1), (GateKind.Z, 1)):
             g = gate(kind, int(rng.integers(0, n)))
             out = conjugate_pauli(term, g)
             # squares to +/- identity: still in the Pauli group
-            square = out * out
-            assert not square.xpart.any() and not square.zpart.any()
-            assert square.phase_exp in (0, 2)
+            square = pauli_matrix(n, *out) @ pauli_matrix(n, *out)
+            assert any(np.allclose(square, sign * np.eye(2 ** n), atol=1e-12)
+                       for sign in (1, -1))
             back = out
             for _ in range(inverse_reps):
                 back = conjugate_pauli(back, g)
@@ -91,17 +80,16 @@ def test_conjugation_round_trip_and_pauli_closure():
 
 def test_conjugate_pauli_rejects_non_clifford():
     with pytest.raises(ValueError):
-        conjugate_pauli(PauliTerm.x_gen(3, 0), gate(GateKind.TOFFOLI, 0, 1, 2))
+        conjugate_pauli((0, 0b1, 0), gate(GateKind.TOFFOLI, 0, 1, 2))
     with pytest.raises(ClassificationError, match="^circuit is not Clifford-only$"):
         conjugated_generators(parse("qubits 3\ntoffoli 0 1 2"))
 
 
 def test_conjugated_generators_examples():
     c = parse("qubits 2\nmeasure 0")
-    assert conjugated_generators(c) == [PauliTerm.x_gen(2, 0),
-                                        PauliTerm.x_gen(2, 1)]
+    assert conjugated_generators(c) == [(0, 0b01, 0), (0, 0b10, 0)]
     c = parse("qubits 1\nh 0")
-    assert conjugated_generators(c) == [PauliTerm.z_gen(1, 0)]
+    assert conjugated_generators(c) == [(0, 0, 0b1)]
 
 
 def test_conjugated_generators_match_dense():
@@ -110,10 +98,11 @@ def test_conjugated_generators_match_dense():
         n = int(rng.integers(1, 5))
         c = random_clifford_circuit(rng, n, int(rng.integers(0, 25)))
         u = circuit_unitary(c)
-        for i, sigma in enumerate(conjugated_generators(c)):
-            want = u @ PauliTerm.x_gen(n, i).to_matrix() @ u.conj().T
-            assert np.allclose(sigma.to_matrix(), want, atol=1e-9)
-            assert sigma.is_hermitian()
+        for i, (e, x, z) in enumerate(conjugated_generators(c)):
+            want = u @ pauli_matrix(n, 0, 1 << i, 0) @ u.conj().T
+            assert np.allclose(pauli_matrix(n, e, x, z), want, atol=1e-9)
+            # Hermitian: squares to +I
+            assert (e + (x & z).bit_count()) % 2 == 0
 
 
 # ---------------------------------------------------------------------------

@@ -123,3 +123,13 @@ def test_rotation_angles_past_float_range_are_exact():
                      f"qubits 2\nx 0\nx 1\nczrot 0 1 {num} {den}"):
             vec = run_statevector(parse(text))
             assert abs(vec[-1] - want) < 1e-12 and not vec[:-1].any()
+
+
+def test_rotation_angles_past_two_to_the_53_are_exact():
+    # 2^53 + 1 rounds to an even float; the exact odd numerator makes
+    # czrot a CZ, so H on both qubits leaves -1/2 on |11>.
+    for num, den, want in ((2 ** 53 + 1, 1, -0.5), (-(2 ** 53) - 1, 1, -0.5),
+                           (2 ** 54 + 2, 2, -0.5), (2 ** 53 + 2, 2 ** 53 + 2, -0.5),
+                           (2 ** 54, 1, 0.5)):
+        vec = run_statevector(parse(f"qubits 2\nh 0\nh 1\nczrot 0 1 {num} {den}"))
+        assert np.allclose(vec, [0.5, 0.5, 0.5, want], atol=1e-12)
