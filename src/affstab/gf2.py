@@ -10,7 +10,7 @@ implementation of each elimination, a few word operations per row
 step.  ``measure._readout`` alone keeps its own top-bit elimination,
 because R's newest parameter sits at the top bit: on ``_echelon``'s
 lowest-bit pivots a first query on a new subset took 1.5-3x as long
-at n = 50-1000.  ``counting_column`` alone builds the columns of
+at n = 50-1000.  ``counting_columns`` alone builds the columns of
 counting through m bits, for HT counting and the support listing.
 
 The numpy functions take and return uint8 arrays with entries in
@@ -172,20 +172,21 @@ def decompose_rows(rows: list[int]) -> list[tuple[int, int]]:
     return ops
 
 
-def counting_column(m: int, j: int) -> int:
-    """Column j of counting through m bits: bit i is bit j of i, for
-    i < 2^m.  It repeats with period 2^(j+1) bits, so it is built from one
-    repeated byte pattern in linear time (the closed form, a big-integer
-    division, is super-linear)."""
-    if j < 3:
-        pattern = bytes([(0xAA, 0xCC, 0xF0)[j]])
-    else:
-        half = 1 << (j - 3)
-        pattern = bytes(half) + b"\xff" * half
-    size = 1 << m
-    if size < 8:
-        return pattern[0] & ((1 << size) - 1)
-    return int.from_bytes(pattern * (size // 8 // len(pattern)), "little")
+def counting_columns(m: int) -> list[int]:
+    """The m columns of counting through m bits: bit i of column j is
+    bit j of i, for i < 2^m.  Column m-1 is the top half of the 2^m
+    bits; column j is c ^ (c >> 2^j) for c column j+1, since adding 2^j
+    to i flips bit j+1 exactly where bit j is set.  Each column is one
+    shift and one XOR of the next (a closed form is a big-integer
+    division, a repeated byte pattern an ``int.from_bytes`` per
+    column, both slower)."""
+    if m == 0:
+        return []
+    cols = [(1 << (1 << m)) - (1 << (1 << (m - 1)))]
+    for j in range(m - 2, -1, -1):
+        cols.append(cols[-1] ^ (cols[-1] >> (1 << j)))
+    cols.reverse()
+    return cols
 
 
 def row_echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:

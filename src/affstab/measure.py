@@ -8,14 +8,21 @@ floating point.  Strong simulation runs one GF(2) elimination of R_S
 per subset, memoised on the form: it gives the rank, and one parity
 check on the outcome bits per row of R_S that the rows before it span
 (the left kernel).  A query then costs |S| - rank parities, and the
-support's listing reads the same elimination.  Sampling draws the m
-free parameters uniformly and reads the measured bits off the ket map,
-bit-sliced over the shots.
+support's listing reads the same elimination.  On a memo hit a list or
+tuple subset is matched packed two bytes per qubit, and a list or tuple
+outcome is checked and read as one ``bytes`` object: a few C-level byte
+operations, no Python step per qubit.  Any other subset or outcome (an
+array, a range, an iterator) and any input a packing refuses (floats,
+negatives, indices past 65,535) takes the per-qubit checks that
+``check_query`` also runs, which hold every acceptance rule and error
+message.  Sampling draws the m free parameters uniformly and reads the
+measured bits off the ket map, bit-sliced over the shots.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,15 +126,26 @@ class _Readout:
     ``t`` (t_S) and of each check.  A check is the mask of the rows of
     R_S that sum to zero, one per row the rows before it span, and its
     lowest bit is that row; an outcome alpha is possible iff alpha + t_S
-    has even parity on every check.
+    has even parity on every check.  ``key`` is ``qubits`` packed two
+    bytes each by ``packer``, or None past 65,535 (it then equals no
+    packing).
     """
 
-    __slots__ = ("qubits", "rank", "t", "checks", "prob")
+    __slots__ = ("qubits", "packer", "key", "rank", "t", "checks", "prob")
 
     def __init__(self, qubits: tuple[int, ...], rank: int, t: int,
                  checks: tuple[int, ...]):
         self.qubits, self.rank, self.t, self.checks = qubits, rank, t, checks
+        self.packer = struct.Struct(f"<{len(qubits)}H")
+        try:
+            self.key = self.packer.pack(*qubits)
+        except struct.error:
+            self.key = None
         self.prob = DyadicProb.power(rank)
+
+
+# The exact types whose items the packings read without using them up.
+_PACKABLE = (list, tuple)
 
 
 def _readout(s: AffineForm, subset) -> _Readout:
@@ -135,17 +153,23 @@ def _readout(s: AffineForm, subset) -> _Readout:
 
     The form keeps the last subset's readout (``AffineForm._readout``),
     keyed by its qubits after ``operator.index``; a key is stored only
-    once ``_check_measured`` has accepted it, so a hit needs no check.  The slot
-    always holds a whole readout, so threads that race here at worst
-    each run the elimination.
+    once ``_check_measured`` has accepted it, so a hit needs no check.
+    A list or tuple is first compared packed: ``struct`` takes its items
+    by ``operator.index`` too, and only in 0..65535, so equal packings
+    are equal qubits.  Any other subset, and one the packing refuses,
+    is compared as a tuple.  The slot always holds a whole readout, so
+    threads that race here at worst each run the elimination.
     """
+    last = getattr(s, "_readout", None)
+    if last is not None and type(subset) in _PACKABLE:
+        try:
+            if last.packer.pack(*subset) == last.key:
+                return last
+        except struct.error:
+            pass  # refused, or another length: the tuple below decides
     qubits = tuple(map(operator.index, subset))
-    try:
-        last = s._readout
-        if last.qubits == qubits:
-            return last
-    except AttributeError:
-        pass
+    if last is not None and last.qubits == qubits:
+        return last
     rows, t_s = affine.subset_rows(s, _check_measured(s.n, qubits))
     # Each row of R_S is reduced by the pivot rows so far, keyed by
     # their top bit; c tracks which rows of R_S the result sums.
@@ -168,6 +192,20 @@ def _readout(s: AffineForm, subset) -> _Readout:
     return last
 
 
+def _outcome_int(size: int, alpha) -> int:
+    """``_pack(_outcome(size, alpha))``; a list or tuple of ints is packed
+    by ``bytes`` and checked as bytes, anything else by ``_outcome``."""
+    if type(alpha) in _PACKABLE:
+        try:
+            raw = bytes(alpha)
+        except (TypeError, ValueError):
+            pass  # not all ints in 0..255: ``_outcome`` decides
+        else:
+            if len(raw) == size and not raw.translate(None, b"\0\1"):
+                return int(b"0" + raw.translate(_DIGITS), 2)
+    return _pack(_outcome(size, alpha))
+
+
 _IMPOSSIBLE = DyadicProb.impossible()
 
 
@@ -182,7 +220,7 @@ def strong_prob(s: AffineForm, subset, alpha) -> DyadicProb:
     parity on each of the |S| - rank left-kernel checks it yields.
     """
     readout = _readout(s, subset)
-    a = _pack(_outcome(len(readout.qubits), alpha)) ^ readout.t
+    a = _outcome_int(len(readout.qubits), alpha) ^ readout.t
     for check in readout.checks:
         if (a & check).bit_count() & 1:
             return _IMPOSSIBLE
@@ -232,7 +270,7 @@ def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, Dy
     # reads only positions before it.  So the first position where two
     # outcomes differ is free, and counting up lists them sorted.
     count = 1 << rank
-    codes = (gf2.counting_column(rank, j) for j in range(rank - 1, -1, -1))
+    codes = reversed(gf2.counting_columns(rank))
     fixed = {check & -check: check for check in readout.checks}
     cols, ones = {}, (1 << count) - 1
     for k in range(size):

@@ -13,7 +13,8 @@ contribute only phases and never touch the outcome distribution, so
 the sampler ignores them outright.
 
 Both families hold one entry per qubit, so a width past the index range
-is refused with ``CapacityError`` before anything is allocated.
+is refused with ``CapacityError`` before anything is allocated, and so
+is an HT batch whose shots times width is past it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ def _check_width(n: int) -> None:
     anything is allocated: no list or array can hold one entry per qubit."""
     if n > sys.maxsize:
         raise CapacityError(f"near-Clifford simulation cannot index {n} qubits; "
+                            f"the limit is {sys.maxsize}")
+
+
+def _check_batch(shots: int, n: int) -> None:
+    """Raise ``CapacityError`` for a (shots, n) batch past the index range,
+    before it is allocated: numpy refuses such a shape as a bad size."""
+    if shots * n > sys.maxsize:
+        raise CapacityError(f"{shots} shots of {n} qubits need {shots * n} bits; "
                             f"the limit is {sys.maxsize}")
 
 
@@ -146,8 +155,13 @@ def ht_sample_batch(c: Circuit, shots: int,
     """(shots, |measured|) outcome bits of an HT circuit.
 
     The Hadamard bits are drawn uniformly, every other input bit is 0.
+
+    Raises:
+        CapacityError: if the width, or shots times the width, is past
+        the index range.
     """
     positions, f = _split_ht(c)
+    _check_batch(shots, c.n_qubits)
     xs = np.zeros((shots, c.n_qubits), dtype=np.uint8)
     if positions:
         xs[:, positions] = rng.integers(0, 2, size=(shots, len(positions)),
@@ -188,8 +202,8 @@ def ht_strong_count(c: Circuit, subset, alpha,
             f"limit is 2^{width_limit}")
     full = (1 << (1 << m)) - 1
     values = [0] * c.n_qubits
-    for j, q in enumerate(positions):
-        values[q] = gf2.counting_column(m, j)
+    for q, col in zip(positions, gf2.counting_columns(m)):
+        values[q] = col
     for g in f.gates:
         _apply_classical(values, g, full)
     match = full

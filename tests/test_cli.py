@@ -305,6 +305,20 @@ def test_near_clifford_width_past_the_index_range_names_the_width(tmp_path):
         assert run(argv) == (2, "", want), argv
 
 
+def test_ht_sample_past_the_index_range_is_capacity(tmp_path):
+    # 10^18 qubits fit the index range; ten shots of them do not, and
+    # one shot is far past the address space.
+    ht = circuit_file(tmp_path, "ht.cq", f"qubits {10 ** 18}\nh 0\nh 1\ntoffoli 0 1 2\nmeasure 2\n")
+    for shots in (10, 1):
+        status, out, err = run(["sample", ht, "--shots", str(shots)])
+        assert (status, out) == (2, ""), err
+        assert err.startswith("capacity exceeded: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert run(["sample", ht, "--shots", "10"])[2] == (
+        f"capacity exceeded: 10 shots of {10 ** 18} qubits need {10 ** 19} bits; "
+        f"the limit is {sys.maxsize}\n")
+
+
 def test_verify_reduces_angles_past_float_range(tmp_path):
     for name, text in (("zrot.cq", f"qubits 1\nzrot 0 {10 ** 400} 1\n"),
                        ("czrot.cq", f"qubits 2\nczrot 0 1 1 {10 ** 399}\n")):

@@ -1,4 +1,6 @@
+import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affstab import (CapacityError, apply_h, enumerate_support, gf2, init_zero,
-                     parse, run_clifford, strong_prob, weak_sample_many)
+                     measure, parse, run_clifford, strong_prob, weak_sample_many)
 from affstab.affine import AffineForm, LinForm, QuadForm, amplitude, to_statevector
 from affstab.errors import InvariantError
 from affstab.measure import DyadicProb, Outcome, check_query, format_rows
@@ -400,3 +402,114 @@ def test_enumerate_support_at_the_cap():
             enumerate_support(s, subset, 2 ** rank - 1)
         assert str(exc.value) == (f"support has {2 ** rank} outcomes, "
                                   f"which exceeds the cap {2 ** rank - 1}")
+
+
+def test_one_shot_iterators_are_read_once():
+    # A memo hit compares lists and tuples packed; an iterator must reach
+    # the tuple path whole, whatever subset the memo holds.
+    s = wide_form()
+    rng = np.random.default_rng(38)
+    queries = []
+    for size in (40, 40, 12):
+        qubits = [int(q) for q in rng.permutation(s.n)[:size]]
+        alpha = [int(b) for b in weak_sample_many(s, qubits, 1, rng)[0]]
+        queries.append((qubits, alpha, reference_prob(s, qubits, alpha)))
+    for _ in range(2):
+        for qubits, alpha, want in queries:
+            assert str(strong_prob(s, iter(qubits), iter(alpha))) == want
+            assert s._readout.qubits == tuple(qubits)
+            assert str(strong_prob(s, (q for q in qubits), (b for b in alpha))) == want
+            assert str(strong_prob(s, qubits, iter(alpha))) == want
+            bad = [2] + alpha[1:]
+            with pytest.raises(ValueError, match="outcome bits must be 0 or 1"):
+                strong_prob(s, qubits, iter(bad))
+
+
+def test_outcome_arrays_are_read_as_items_not_bytes():
+    # ``bytes`` of an array is its buffer: eight bytes per int64 entry,
+    # and any shape at all.
+    s = wide_form()
+    rng = np.random.default_rng(41)
+    qubits = [int(q) for q in rng.permutation(s.n)[:8]]
+    alpha = weak_sample_many(s, qubits, 1, rng)[0]
+    want = reference_prob(s, qubits, alpha)
+    for dtype in (np.uint8, np.int64, np.bool_, np.float64):
+        assert str(strong_prob(s, qubits, alpha.astype(dtype))) == want
+    assert_refused_alike(s, qubits, alpha[:, None])
+    assert_refused_alike(s, qubits[:1], alpha.astype(np.uint16)[:1].view(np.uint8))
+
+
+def test_an_int_subset_or_outcome_is_refused():
+    # ``bytes(5)`` is five zero bytes: an int must not pack as a subset
+    # or outcome of five zeros, memoised or not.
+    s = ghz()
+    for _ in range(2):
+        strong_prob(s, [0, 1], [0, 0])
+        for subset, alpha in ((2, [0, 0]), ([0, 1], 2), ([0, 1], 0), ([], 0)):
+            assert_refused_alike(s, subset, alpha)
+            with pytest.raises(TypeError):
+                strong_prob(s, subset, alpha)
+
+
+def test_lists_changed_in_place_are_read_again():
+    s = wide_form()
+    rng = np.random.default_rng(39)
+    qubits = [int(q) for q in rng.permutation(s.n)[:30]]
+    alpha = [int(b) for b in weak_sample_many(s, qubits, 1, rng)[0]]
+    assert str(strong_prob(s, qubits, alpha)) == reference_prob(s, qubits, alpha)
+    first = s._readout
+    qubits[0], qubits[1] = qubits[1], qubits[0]
+    alpha[0] ^= 1
+    assert str(strong_prob(s, qubits, alpha)) == reference_prob(s, qubits, alpha)
+    assert s._readout is not first and s._readout.qubits == tuple(qubits)
+    second = s._readout
+    # Equal as numbers is not enough: a float index or bit is refused.
+    for bad in (float(qubits[0]), -1, s.n, 2 ** 16 + qubits[0]):
+        qubits[0], kept = bad, qubits[0]
+        assert_refused_alike(s, qubits, alpha)
+        qubits[0] = kept
+    for bad in (0.5, 2, 256, -1, "1"):
+        alpha[0], kept = bad, alpha[0]
+        assert_refused_alike(s, qubits, alpha)
+        alpha[0] = kept
+    # A bit equal to 0 or 1 is taken, whatever its type.
+    want = reference_prob(s, qubits, alpha)
+    for same in (float(alpha[0]), bool(alpha[0]), np.uint8(alpha[0]), np.bool_(alpha[0])):
+        alpha[0], kept = same, alpha[0]
+        assert str(strong_prob(s, qubits, alpha)) == want
+        alpha[0] = kept
+    assert s._readout is second
+    # Items that act as ints through ``operator.index`` still hit.
+    same = [np.int64(q) for q in qubits]
+    assert str(strong_prob(s, tuple(same), [bool(b) for b in alpha])) == \
+        reference_prob(s, qubits, alpha)
+    assert s._readout is second
+
+
+def test_subsets_the_packing_refuses_still_hit_the_memo(monkeypatch):
+    # A subset with no packed key is found by its tuple of qubits, not
+    # eliminated again.  Two-byte keys stop at 65,535, but a form that
+    # wide builds an n x n frame on its first query; packed one byte per
+    # index, keys stop at 255 and take the same path.
+    one_byte = SimpleNamespace(error=struct.error,
+                               Struct=lambda fmt: struct.Struct(fmt.replace("H", "B")))
+    monkeypatch.setattr(measure, "struct", one_byte)
+    s = wide_form()
+    s3 = run_clifford(random_clifford_circuit(np.random.default_rng(40), 300, 600))
+    rng = np.random.default_rng(40)
+    for form, subset in ((s3, [299, 0, 256, 7]), (s, range(0, 90, 3)),
+                         (s, np.arange(40, 80)), (s, [2, 11, 5])):
+        qubits = [int(q) for q in subset]
+        alphas = [[int(b) for b in weak_sample_many(form, qubits, 1, rng)[0]],
+                  [int(b) for b in rng.integers(0, 2, len(qubits))]]
+        strong_prob(form, subset, alphas[0])
+        first = form._readout
+        assert (first.key is None) == (max(qubits) > 255)
+        for alpha in alphas:
+            want = reference_prob(form, qubits, alpha)
+            for same in (subset, qubits, tuple(qubits), iter(qubits), np.array(qubits)):
+                assert str(strong_prob(form, same, alpha)) == want
+                assert form._readout is first
+        if len(qubits) <= 4:
+            assert enumerate_support(form, subset, 16)[0][1] == first.prob
+            assert form._readout is first

@@ -166,7 +166,7 @@ def test_ht_strong_count_checks_query_before_counting(monkeypatch):
     def no_masks(*args):
         raise AssertionError("mask built before the query was checked")
 
-    monkeypatch.setattr(nc.gf2, "counting_column", no_masks)
+    monkeypatch.setattr(nc.gf2, "counting_columns", no_masks)
     for subset, alpha in ([2], [1, 0]), ([2, 2], [1, 0]), ([3], [1]), ([2], [2]):
         with pytest.raises(ValueError):
             ht_strong_count(c, subset, alpha)
@@ -368,12 +368,14 @@ def test_eval_classical_batch_matches_oracle():
 
 def test_assignment_masks_match_division_formula():
     # HT counting's assignment masks are gf2's counting columns.
-    from affstab.gf2 import counting_column
+    from affstab.gf2 import counting_columns
     for m in range(13):
         full = (1 << (1 << m)) - 1
+        cols = counting_columns(m)
+        assert len(cols) == m
         for j in range(m):
             block = 1 << (1 << j)
-            assert counting_column(m, j) == (full // (block + 1)) << (1 << j)
+            assert cols[j] == (full // (block + 1)) << (1 << j)
 
 
 def test_ht_strong_count_at_default_width_is_fast():
