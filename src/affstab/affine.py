@@ -52,11 +52,12 @@ change are copied first (O(n) for CNOT, O(m) for P and CZ), and a
 Hadamard builds all of its lists anew.
 
 Full column rank of R is checked where it costs nothing extra: each
-rank-deficient Hadamard checks R u = e_k in row k, a hand-built form
-gets its frame from an elimination that checks the rank, and
-``run_clifford`` checks once at the end, with one elimination over the
-row ints, that all m columns are independent.  All checks
-raise ``errors.InvariantError``, so they hold under ``python -O``.
+rank-deficient Hadamard checks R u = e_k in row k, ``run_clifford``
+ends with one ``gf2.independent_rows`` pass over R's rows, and a form
+without a frame (hand-built) gets one from an elimination that checks
+the rank in ``apply_h`` and ``amplitude``, or runs that O(n m) pass in
+``subset_rows`` and ``to_statevector``, which need no frame.  All
+checks raise ``errors.InvariantError``, so they hold under ``python -O``.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def subset_rows(s: AffineForm, qubits) -> tuple[list[int], list[int]]:
     """R_S and t_S on the bit rows: for each qubit k of ``qubits`` (Python
     ints, checked by the caller), row k of R and the bit t_k.  A form that
     is not a state (R lacks full column rank) raises ``InvariantError``."""
-    _frame_cols(s)
+    _check_rank(s)
     rows, t = s._rows, s._t
     return [rows[k] for k in qubits], [t >> k & 1 for k in qubits]
 
@@ -371,8 +372,7 @@ def _fold(s: AffineForm, kind: GateKind, qubits: tuple[int, ...]) -> None:
         for _ in range(3):
             _fold(s, _P, qubits)
     elif kind is _SWAP:
-        a, b = qubits
-        for pair in (qubits, (b, a), qubits):
+        for pair in (qubits, qubits[::-1], qubits):
             _fold(s, _CNOT, pair)
     else:
         raise ValueError(f"not a phase-family gate: {kind.value}")
@@ -411,8 +411,14 @@ def _frame_cols(s: AffineForm) -> list[int]:
             e = gf2.reducer_rows(s._rows, s._m)
         except ValueError:
             raise InvariantError("R does not have full column rank") from None
-        cols = s._cols = gf2.ints(gf2.bit_matrix(e, s.n).T)
+        cols = s._cols = gf2.transpose(e, s.n)
     return cols
+
+
+def _check_rank(s: AffineForm) -> None:
+    """R's full column rank, checked in O(n m) on its rows unless a frame vouches."""
+    if s._cols is None and len(gf2.independent_rows(s._rows)) != s._m:
+        raise InvariantError("R does not have full column rank")
 
 
 def apply_h(s: AffineForm, k: int) -> AffineForm:
@@ -591,7 +597,7 @@ def _sum_out(n: int, m: int, rows: list[int], t: int, lam: int, g: int, g0: int,
 
 
 def apply_gate(s: AffineForm, g: Gate) -> AffineForm:
-    """Apply any Clifford gate (PDG and SWAP are expanded first)."""
+    """Apply any Clifford gate, PDG and SWAP included."""
     if g.kind is _H:
         return apply_h(s, g.qubits[0])
     return _folded(s, g)
@@ -663,7 +669,7 @@ def to_statevector(s: AffineForm) -> np.ndarray:
     that is not a state (R lacks full column rank) raises ``InvariantError``."""
     if s.n > MAX_QUBITS:
         raise CapacityError(f"statevector limited to {MAX_QUBITS} qubits, state has {s.n}")
-    _frame_cols(s)
+    _check_rank(s)
     m = s.m
     # All parameter assignments as rows of a (2^m, m) bit matrix.
     us = ((np.arange(2 ** m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.uint8)

@@ -10,11 +10,11 @@ The text format is line oriented (UTF-8, ``#`` starts a comment):
     measure q1 q2 ...               optional, at most once, last statement
                                     (default: measure 0)
 
-``parse`` reads a ``swap`` line as three CNOTs.  Every simulator and
-the Pauli stack take all eight Clifford kinds as they stand (SWAP and
-PDG built in code included); ``basic_clifford_gates`` expands SWAP and
-PDG for code that wants the six basic kinds.  Diagonal rotation angles
-are exact rationals (num, den): the phase exp(i*pi*num/den) on the
+Every simulator and the Pauli stack take all eight Clifford kinds as
+they stand, so ``parse`` keeps each line as one gate and
+``parse(emit(c)) == c``; ``basic_clifford_gates`` expands SWAP and PDG
+for code that wants the six basic kinds.  Diagonal rotation angles are
+exact rationals (num, den): the phase exp(i*pi*num/den) on the
 all-ones branch.
 
 A ``Gate`` is an immutable ``NamedTuple`` ``(kind, qubits, angle)``.
@@ -27,20 +27,21 @@ unchecked constructor, ``_gate``, after their callers' own checks
 ``--qubits``, whose gates are already checked.
 
 ``parse`` interns repeated gate lines: within one call, every body line
-with the same raw text shares one ``Gate`` (three for a ``swap`` line).
-A measure line gets the one measured-subset check, ``_check_measured``,
-with its line number.  One writer, ``_emit``, writes ``emit``'s text
-and the CLI's normal forms.
+with the same raw text shares one ``Gate``.  A measure line gets the
+one measured-subset check, ``_check_measured``, with its line number,
+and ``prep`` lines the per-qubit width check, ``_check_width``.  One
+writer, ``_emit``, writes ``emit``'s text and the CLI's normal forms.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 
 
 class GateKind(enum.Enum):
@@ -181,6 +182,14 @@ def _check_measured(n_qubits: int, measured) -> tuple[int, ...]:
     return qubits
 
 
+def _check_width(n: int) -> None:
+    """Raise ``CapacityError`` for a width past the index range, before
+    anything is allocated: no list or array can hold one entry per qubit."""
+    if n > sys.maxsize:
+        raise CapacityError(f"near-Clifford simulation cannot index {n} qubits; "
+                            f"the limit is {sys.maxsize}")
+
+
 def _bad_norm2(a: complex, b: complex) -> float | None:
     """|a|^2 + |b|^2 of a prep pair off 1 by more than ``PREP_NORM_TOL``, else None."""
     norm2 = abs(a) * abs(a) + abs(b) * abs(b)  # inf, not OverflowError
@@ -237,19 +246,12 @@ def _first_outside(gates: tuple[Gate, ...], kinds) -> Gate | None:
     return next((g for g in gates if g.kind not in kinds), None)
 
 
-def expand_swap(g: Gate) -> list[Gate]:
-    """Expand SWAP into three CNOTs; other gates pass through."""
-    if g.kind is not GateKind.SWAP:
-        return [g]
-    ab = _gate(GateKind.CNOT, g.qubits)
-    return [ab, _gate(GateKind.CNOT, g.qubits[::-1]), ab]
-
-
 def basic_clifford_gates(gates: Iterable[Gate]) -> Iterator[Gate]:
     """Yield gates with SWAP -> 3 CNOTs and PDG -> 3 PHASEs expanded."""
     for g in gates:
         if g.kind is GateKind.SWAP:
-            yield from expand_swap(g)
+            ab = _gate(GateKind.CNOT, g.qubits)
+            yield from (ab, _gate(GateKind.CNOT, g.qubits[::-1]), ab)
         elif g.kind is GateKind.PDG:
             yield from [_gate(GateKind.P, g.qubits)] * 3
         else:
@@ -276,15 +278,15 @@ def parse(text: str) -> Circuit:
 
     # Each statement is checked once, as it is read, so the frozen Gate
     # and Circuit are built without running their checks.  A body line
-    # seen before is the same gate(s) again: the checks depend only on
-    # its text and n_qubits, which the body does not change.
+    # seen before is the same gate again: the checks depend only on its
+    # text and n_qubits, which the body does not change.
     specs = _GATE_SPECS
-    seen: dict[str, tuple[Gate, ...]] = {}  # raw body line -> its gates
+    seen: dict[str, Gate] = {}  # raw body line -> its gate
     for ln, raw in enumerate(text.splitlines(), start=1):
         if in_body:
             hit = seen.get(raw)
             if hit is not None:
-                gates += hit
+                gates.append(hit)
                 continue
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -318,10 +320,8 @@ def parse(text: str) -> Circuit:
                 if nums[arity + 1] <= 0:
                     raise ParseError(ln, "angle denominator must be positive")
                 angle = nums[arity:]
-            g = _gate(kind, qubits, angle)
-            hit = (g,) if kind is not GateKind.SWAP else tuple(expand_swap(g))
-            seen[raw] = hit
-            gates += hit
+            g = seen[raw] = _gate(kind, qubits, angle)
+            gates.append(g)
             continue
         args = tokens[1:]
 
@@ -373,6 +373,7 @@ def parse(text: str) -> Circuit:
         raise ParseError(0, "empty input: missing 'qubits N' header")
     prep = None
     if prep_pairs:
+        _check_width(n_qubits)
         prep = tuple(prep_pairs.get(q, (complex(1.0), complex(0.0)))
                      for q in range(n_qubits))
     return _circuit(n_qubits, tuple(gates), prep, measured if measured is not None else (0,))
@@ -396,7 +397,7 @@ def _parse_int(ln: int, toks: list[str], verb: str, count: int | None = None) ->
 
 
 def emit(c: Circuit) -> str:
-    """Emit canonical text; parse(emit(c)) == c for swap-free circuits."""
+    """Emit canonical text; parse(emit(c)) == c."""
     return _emit(c.n_qubits, c.prep, ((None, c.gates),), c.measured)
 
 

@@ -11,7 +11,8 @@ step.  ``measure._readout`` alone keeps its own top-bit elimination,
 because R's newest parameter sits at the top bit: on ``_echelon``'s
 lowest-bit pivots a first query on a new subset took 1.5-3x as long
 at n = 50-1000.  ``counting_columns`` alone builds the columns of
-counting through m bits, for HT counting and the support listing.
+counting through m bits, for HT counting and the support listing;
+``transpose`` alone turns rows into columns, for the frame and the stack.
 
 The numpy functions take and return uint8 arrays with entries in
 {0, 1}; ``ints`` and ``bit_matrix`` convert to and from bit rows.  Of
@@ -51,6 +52,14 @@ def bit_matrix(rows: list[int], width: int) -> np.ndarray:
     raw = b"".join([x.to_bytes(nbytes, "little") for x in rows])
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def transpose(rows: list[int], k: int) -> list[int]:
+    """The k columns of bit rows below 2^k: bit i of column j is bit j of
+    ``rows[i]``.  With the rows written last first as k-digit binary
+    strings in one string, column j is one strided slice, in C."""
+    digits = "".join([format(x, f"0{k}b") for x in reversed(rows)])
+    return [int(digits[j::k] or "0", 2) for j in range(k - 1, -1, -1)]
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ contribute only phases and never touch the outcome distribution, so
 the sampler ignores them outright.
 
 Both families hold one entry per qubit, so a width past the index range
-is refused with ``CapacityError`` before anything is allocated, and so
-is an HT batch whose shots times width is past it.
+is refused with ``CapacityError`` (``circuit._check_width``) before
+anything is allocated, and so is an HT batch whose shots times width
+is past it.
 """
 
 from __future__ import annotations
@@ -27,21 +28,13 @@ import numpy as np
 
 from . import gf2, measure
 from .circuit import (CLASSICAL_KINDS, Circuit, Gate, GateKind, _CLASSICAL_OR_DIAGONAL,
-                      _first_outside, _h_prefix)
+                      _check_width, _first_outside, _h_prefix)
 from .errors import CapacityError, ClassificationError
 from .statevector import normalized_prep
 
 # The widest Hadamard layer ht_strong_count enumerates: the default and
 # the hard maximum of ``width_limit`` (each qubit's mask has 2^m bits).
 DEFAULT_WIDTH_LIMIT = 24
-
-
-def _check_width(n: int) -> None:
-    """Raise ``CapacityError`` for a width past the index range, before
-    anything is allocated: no list or array can hold one entry per qubit."""
-    if n > sys.maxsize:
-        raise CapacityError(f"near-Clifford simulation cannot index {n} qubits; "
-                            f"the limit is {sys.maxsize}")
 
 
 def _check_batch(shots: int, n: int) -> None:

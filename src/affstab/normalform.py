@@ -106,20 +106,11 @@ class _PauliStack:
             raise ValueError(f"cannot conjugate through {kind.value}")
 
 
-def _transpose(cols: list[int], k: int) -> list[int]:
-    """The k rows of the bit columns ``cols``: bit a of row i is bit i of
-    ``cols[a]``.  The columns are written as k-digit binary strings, last
-    column first, into one string, so row i is every k-th digit from
-    position k-1-i: one strided slice each, in C at any density."""
-    digits = "".join([format(col, f"0{k}b") for col in reversed(cols)])
-    return [int(digits[j::k], 2) for j in range(k - 1, -1, -1)]
-
-
 def _rows(st: _PauliStack, k: int) -> list[tuple[int, int, int]]:
     """The first k rows of a stack as signed Paulis (e, x, z), qubit a at
     bit a of x and of z."""
     return [((st.lo >> i & 1) + 2 * (st.hi >> i & 1), x, z)
-            for i, (x, z) in enumerate(zip(_transpose(st.x, k), _transpose(st.z, k)))]
+            for i, (x, z) in enumerate(zip(gf2.transpose(st.x, k), gf2.transpose(st.z, k)))]
 
 
 def conjugate_pauli(p: tuple[int, int, int], g: Gate) -> tuple[int, int, int]:

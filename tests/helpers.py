@@ -77,10 +77,9 @@ def random_product_front_circuit(rng: np.random.Generator, n: int,
 
 
 def random_text_circuit(rng: np.random.Generator) -> Circuit:
-    """Arbitrary swap-free circuit for parse/emit round trips."""
+    """Arbitrary circuit, every gate kind, for parse/emit round trips."""
     n = int(rng.integers(1, 10))
-    kinds = [k for k in GateKind if k is not GateKind.SWAP]
-    gates = tuple(random_gate(rng, n, kinds)
+    gates = tuple(random_gate(rng, n, list(GateKind))
                   for _ in range(int(rng.integers(0, 20))))
     prep = random_prep(rng, n) if rng.random() < 0.4 else None
     n_meas = int(rng.integers(1, n + 1))

@@ -9,7 +9,7 @@ import pytest
 from affstab import (AffineForm, Circuit, GateKind, amplitude, apply_gate, apply_h,
                      apply_phase_family, gate, init_zero, parse, run_clifford,
                      sum_out_var, to_statevector)
-from affstab import gf2
+from affstab import gf2, measure
 from affstab.affine import LinForm, QuadForm, _make, _times
 from affstab.errors import ClassificationError, InvariantError
 from affstab.statevector import equal_up_to_phase, run_statevector
@@ -393,22 +393,50 @@ RANK_DEFICIENT_RUN = (
     "    affine.run_clifford(parse('qubits 3\\nh 2\\n'))\n"
     "except InvariantError as exc:\n"
     "    print(exc)\n"
-    "try:\n"
-    "    affine.amplitude(broken(None, None), [0, 0, 0])\n"
-    "except InvariantError as exc:\n"
-    "    print(exc)\n")
+    "from affstab import measure\n"
+    "for read in (lambda s: affine.amplitude(s, [0, 0, 0]),\n"
+    "             lambda s: measure.strong_prob(s, [0, 2], [0, 0]),\n"
+    "             lambda s: measure.weak_sample_many(s, [1], 4, np.random.default_rng(1)),\n"
+    "             affine.to_statevector):\n"
+    "    try:\n"
+    "        read(broken(None, None))\n"
+    "    except InvariantError as exc:\n"
+    "        print(exc)\n")
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_run_clifford_rejects_rank_deficient_final_form(flags):
-    # The closing rank check, and the rank check of the frame amplitude
-    # builds for a hand-built form, are typed errors: they hold under -O.
+    # The closing rank check, the rank check of the frame amplitude
+    # builds for a hand-built form, and the rank check of the readers
+    # that build none, are typed errors: they hold under -O.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, *flags, "-c", RANK_DEFICIENT_RUN], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout == ("update broke full column rank\n"
-                           "R does not have full column rank\n"), done.stderr
+                           + "R does not have full column rank\n" * 4), done.stderr
+
+
+@pytest.mark.parametrize("n", [8192, 65540])
+def test_rank_only_readers_build_no_frame(n):
+    # Qubit 0 reads u0, n//2 reads u0 + u1, n-1 reads u1, and qubit 1
+    # is t = 1: the readers need only R's rank, so the n x n frame is
+    # never built.
+    r = np.zeros((n, 2), dtype=np.uint8)
+    r[0, 0] = r[n // 2, 0] = r[n // 2, 1] = r[n - 1, 1] = 1
+    t = np.zeros(n, dtype=np.uint8)
+    t[1] = 1
+    s = AffineForm(n, r, t, LinForm.zero(2), QuadForm.zero(2))
+    q = [0, 1, n // 2, n - 1]
+    assert str(measure.strong_prob(s, q, [1, 1, 1, 0])) == "2^-2"
+    assert str(measure.strong_prob(s, q, [1, 1, 1, 1])) == "0"
+    assert str(measure.strong_prob(s, q[::2], [1, 0])) == "2^-2"
+    assert [str(o) for o, _ in measure.enumerate_support(s, q, 16)] == [
+        "0100", "0111", "1101", "1110"]
+    rows = measure.weak_sample_many(s, q, 64, np.random.default_rng(n))
+    assert rows.shape == (64, 4) and (rows[:, 1] == 1).all()
+    assert not (rows[:, 0] ^ rows[:, 2] ^ rows[:, 3]).any()
+    assert s._cols is None
 
 # sha256 of dump() after run_clifford, frozen from the numpy engine the
 # bit rows replaced (seeded circuits of 10n gates of every Clifford kind).

@@ -91,12 +91,7 @@ def _reference_parse(text: str) -> Circuit:
             kind = GateKind(verb)
             nums = tuple(map(int, args))
             qubits, angle = nums[:ARITY[kind]], nums[ARITY[kind]:] or None
-            if kind is GateKind.SWAP:
-                a, b = qubits
-                gates += [Gate(GateKind.CNOT, (a, b)), Gate(GateKind.CNOT, (b, a)),
-                          Gate(GateKind.CNOT, (a, b))]
-            else:
-                gates.append(Gate(kind, qubits, angle))
+            gates.append(Gate(kind, qubits, angle))
     pairs = None
     if prep:
         pairs = tuple(prep.get(q, (1, 0)) for q in range(n))
@@ -145,9 +140,9 @@ def test_parse_equals_a_checked_reference(text):
 
 def test_parse_shares_one_gate_per_repeated_line():
     c = parse("qubits 3\nh 0\ncnot 0 1\nh 0\nswap 1 2\ncnot 0 1\nswap 1 2\n")
-    h, cnot, h2, s1, s2, s3, cnot2, *swap2 = c.gates
-    assert h is h2 and cnot is cnot2
-    assert [s1, s2, s3] == swap2 and all(a is b for a, b in zip((s1, s2, s3), swap2))
+    h, cnot, h2, swap, cnot2, swap2 = c.gates
+    assert h is h2 and cnot is cnot2 and swap is swap2
+    assert swap == Gate(GateKind.SWAP, (1, 2))
     # The same gate on other text is built again, but equal.
     assert parse("qubits 1\nh 0\nh 0 # again").gates[0] == Gate(GateKind.H, (0,))
 
@@ -157,10 +152,10 @@ def test_parse_comments_and_blanks():
     assert c.n_qubits == 2 and len(c.gates) == 1
 
 
-def test_swap_expanded_at_parse():
-    c = parse("qubits 2\nswap 0 1")
-    assert [g.kind for g in c.gates] == [GateKind.CNOT] * 3
-    assert [g.qubits for g in c.gates] == [(0, 1), (1, 0), (0, 1)]
+def test_swap_is_one_gate_at_parse():
+    c = parse("qubits 3\nswap 0 1\nSWAP 2 0")
+    assert c.gates == (Gate(GateKind.SWAP, (0, 1)), Gate(GateKind.SWAP, (2, 0)))
+    assert emit(c) == "qubits 3\nswap 0 1\nswap 2 0\nmeasure 0\n"
 
 
 def test_emit_empty_circuit():

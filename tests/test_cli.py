@@ -9,11 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from affstab import GateKind, emit, parse
+from affstab import Circuit, Gate, GateKind, emit, parse
 from affstab.affine import MAX_CLIFFORD_QUBITS
 from affstab.cli import run_command
-from helpers import (random_clifford_circuit, random_ht_circuit,
-                     random_product_front_circuit)
+from helpers import (random_clifford_circuit, random_gate, random_ht_circuit,
+                     random_prep, random_product_front_circuit)
 
 GHZ = "qubits 2\nh 0\ncnot 0 1\nmeasure 0\n"
 HPH = "qubits 1\nh 0\np 0\nh 0\nmeasure 0\n"
@@ -303,6 +303,70 @@ def test_near_clifford_width_past_the_index_range_names_the_width(tmp_path):
             f"qubits; the limit is {sys.maxsize}\n")
     for argv in (["sample", ht], ["prob", ht, "--outcome", "1"], ["sample", pf]):
         assert run(argv) == (2, "", want), argv
+
+
+def test_prep_line_past_the_index_range_is_capacity(tmp_path):
+    # ``parse`` checks the width before it builds the n-tuple of prep
+    # pairs, so every verb exits at once instead of running until killed.
+    path = circuit_file(tmp_path, "prep.cq",
+                        f"qubits {10 ** 30}\nprep 0 1 0 0 0\nzrot 0 1 4\nmeasure 0\n")
+    want = (f"capacity exceeded: near-Clifford simulation cannot index {10 ** 30} "
+            f"qubits; the limit is {sys.maxsize}\n")
+    for argv in (["sample", path], ["prob", path, "--outcome", "1"], ["verify", path],
+                 ["normalize", path]):
+        assert run(argv) == (2, "", want), argv
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                   os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-m", "affstab", "sample", path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", want)
+
+
+CLIFFORD_ALL = (GateKind.H, GateKind.P, GateKind.PDG, GateKind.X, GateKind.Z,
+                GateKind.CNOT, GateKind.CZ, GateKind.SWAP)
+
+
+def _three_cnots(line):
+    if not line.startswith("swap "):
+        return line
+    _, a, b = line.split()
+    return f"cnot {a} {b}\ncnot {b} {a}\ncnot {a} {b}"
+
+
+def _with_swaps(rng, n, kinds, prefix=(), prep=None):
+    """A circuit text with ``swap`` lines, and its twin with each
+    ``swap a b`` written as ``cnot a b``, ``cnot b a``, ``cnot a b``."""
+    gates = list(prefix) + [random_gate(rng, n, kinds) for _ in range(8 * n)]
+    gates += [Gate(GateKind.SWAP, (0, n - 1)), Gate(GateKind.SWAP, (n - 1, 1))]
+    measured = tuple(int(q) for q in rng.permutation(n)[:3])
+    text = emit(Circuit(n, tuple(gates), prep, measured))
+    return n, text, "\n".join(map(_three_cnots, text.split("\n")))
+
+
+def test_swap_line_answers_like_its_three_cnots(tmp_path):
+    # SWAP stays one gate from ``parse`` on; every verb prints what the
+    # three-CNOT expansion printed, on Clifford, HT and product-front files.
+    rng = np.random.default_rng(31)
+    ht = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP)
+    front = (GateKind.X, GateKind.CNOT, GateKind.SWAP, GateKind.CZ, GateKind.ZROT,
+             GateKind.PDG)
+    files = []
+    for n in (3, 6, 9, 24):
+        files.append(_with_swaps(rng, n, CLIFFORD_ALL))
+        files.append(_with_swaps(rng, n, ht, prefix=[Gate(GateKind.H, (q,))
+                                                     for q in range(0, n, 2)]))
+        files.append(_with_swaps(rng, n, front, prep=random_prep(rng, n)))
+    for i, (n, text, twin) in enumerate(files):
+        assert text.count("\nswap ") >= 2 and "swap" not in twin
+        a = circuit_file(tmp_path, f"swap{i}.cq", text)
+        b = circuit_file(tmp_path, f"cnot{i}.cq", twin)
+        tails = [["normalize"], ["decompose"], ["prob"], ["prob", "--outcome", "101"],
+                 ["sample", "--shots", "30", "--seed", "2"],
+                 ["sample", "--shots", "30", "--seed", "2", "--qubits", "2", "0"]]
+        if n <= 9:
+            tails += [["verify"], ["normalize", "--check"], ["decompose", "--check"]]
+        for tail in tails:
+            assert run([tail[0], a, *tail[1:]]) == run([tail[0], b, *tail[1:]]), (i, tail)
 
 
 def test_ht_sample_past_the_index_range_is_capacity(tmp_path):

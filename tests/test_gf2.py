@@ -229,6 +229,17 @@ def test_decompose_rows_matches_numpy_reference(m):
     assert np.array_equal(replay_additions(ops, n), m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 2, 63, 64, 65, 130]),
+       st.sampled_from([0, 1, 7, 63, 64, 65, 130]), st.sampled_from([0.05, 0.5, 0.95]))
+def test_transpose_matches_numpy(seed, k, count, density):
+    # Widths on both sides of a 64-bit word, and k = 0 and 1.
+    a = (np.random.default_rng(seed).random((count, k)) < density).astype(np.uint8)
+    rows = gf2.ints(a)
+    assert gf2.transpose(rows, k) == gf2.ints(gf2.bit_matrix(rows, k).T)
+    assert gf2.transpose(gf2.transpose(rows, k), count) == rows
+
+
 def package_gf2_uses() -> set[str]:
     """Names of gf2 the package refers to: ``gf2.<name>`` outside gf2,
     and names loaded inside gf2 other than by the function's own def."""

@@ -488,9 +488,9 @@ def test_lists_changed_in_place_are_read_again():
 
 def test_subsets_the_packing_refuses_still_hit_the_memo(monkeypatch):
     # A subset with no packed key is found by its tuple of qubits, not
-    # eliminated again.  Two-byte keys stop at 65,535, but a form that
-    # wide builds an n x n frame on its first query; packed one byte per
-    # index, keys stop at 255 and take the same path.
+    # eliminated again.  Two-byte keys stop at 65,535, past the width of
+    # any ``run_clifford`` form; packed one byte per index, keys stop at
+    # 255 and take the same path.
     one_byte = SimpleNamespace(error=struct.error,
                                Struct=lambda fmt: struct.Struct(fmt.replace("H", "B")))
     monkeypatch.setattr(measure, "struct", one_byte)
