@@ -10,10 +10,10 @@ function of u.  Global phase is not tracked: all equality is up to one
 unit constant.
 
 Each Clifford gate updates (R, t, l, q) exactly.  PHASE, X, Z, CZ and
-CNOT never change m; Hadamard introduces a fresh parameter and, when
-the new column system becomes rank deficient, eliminates one parameter
-by summing it out (``sum_out_var``), which either imposes a linear
-constraint on the remaining parameters or leaves a pure phase update.
+CNOT never change m; Hadamard introduces a fresh parameter v and, when
+the new column system becomes rank deficient, sums one parameter out
+in closed form (the rule of ``sum_out_var``): either v stays and the
+phase absorbs the sum, or the sum fixes v and m drops by one.
 
 Storage.  Every bit vector is one Python int.  A vector over the
 parameters keeps parameter i (the i-th column of ``R``) at bit m-1-i,
@@ -41,8 +41,8 @@ Hadamard runs no elimination: the frame, an invertible F with
 F R = [I_m; 0] kept in step with R by every update, tells from one
 column whether the widened system loses rank and, if so, gives its
 kernel vector.  Updating F is one pass of a few operations over its n
-columns; a Hadamard that drops a parameter also renumbers the n rows
-of R and the m rows of B, one pass each.
+columns; a rank-deficient Hadamard also renumbers the n rows of R and
+the m rows of B, one pass each.
 
 ``run_clifford`` folds every gate but H into one form in place, so
 those costs are all it pays.  The public updates (``apply_gate``,
@@ -62,6 +62,7 @@ checks raise ``errors.InvariantError``, so they hold under ``python -O``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,6 +382,9 @@ def _fold(s: AffineForm, kind: GateKind, qubits: tuple[int, ...]) -> None:
 def _folded(s: AffineForm, g: Gate) -> AffineForm:
     """``s`` with ``g`` (not H) applied, as a new form: the lists ``g``
     changes are copied first, and the others are shared with ``s``."""
+    for q in g.qubits:
+        if not 0 <= q < s.n:
+            raise ValueError(f"qubit {q} out of range for {s.n} qubits")
     kind, rows, sym, cols = g.kind, s._rows, s._sym, s._cols
     if kind is _CNOT or kind is _SWAP:
         rows = rows.copy()
@@ -432,9 +436,16 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
     F[m:, k] is nonzero, and otherwise u = F[:m, k].  In the deficient
     case the change of basis u = Q u' (Q = I with column p, the first
     nonzero of z, replaced by z) clears column p of the ket map, and
-    that parameter is summed out (``sum_out_var``).  No elimination.
+    that parameter is summed out by ``sum_out_var``'s rule, written
+    out for this case so R and B are renumbered once.  No elimination.
+
+    Raises:
+        ValueError: if k is not a qubit of ``s``.
     """
     n, m = s.n, s._m
+    k = operator.index(k)
+    if not 0 <= k < n:
+        raise ValueError(f"qubit {k} out of range for {n} qubits")
     cols = _frame_cols(s)
     col = cols[k]
     rows, t = s._rows, s._t
@@ -472,21 +483,29 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
     g0 = ((pairs >> 1) + (s._lin & u).bit_count()) & 1
     lam = (s._l & u).bit_count() & 1
 
-    # Drop bit p, x -> (x & low) | (x >> 1 & high), and give v the top
-    # bit, m-1: the ket map [e_k | R_{-k}] and q + v * (r.u + t_k) over
-    # the parameters that stay.
-    low, high, top = (1 << p) - 1, -(1 << p), 1 << (m - 1)
+    cols = _shrunk_frame(cols, u, r, bu, p, m, lam)
+    # Drop bit p, C(x) = (x & low) | (x >> 1 & high), from every piece.
+    low, high = (1 << p) - 1, -(1 << p)
     rows = [(x & low) | (x >> 1 & high) for x in rows]
-    rows[k] = top
-    wide = [(x & low) | (x >> 1 & high) for x in sym]
-    del wide[p]
-    wide.append(0)
-    lin, q0 = _times(wide, (s._lin & low) | (s._lin >> 1 & high), s._q0,
-                     top, 0, (r & low) | (r >> 1 & high), tk)
-    out = _sum_out(n, m, rows, t & ~(1 << k), lam, top | (bu & low) | (bu >> 1 & high),
-                   g0, (s._l & low) | (s._l >> 1 & high), s._l0, wide, lin, q0)
-    out._cols = _shrunk_frame(cols, u, r, bu, p, m, lam)
-    return out
+    sym = [(x & low) | (x >> 1 & high) for x in sym]
+    del sym[p]
+    lin, l = (s._lin & low) | (s._lin >> 1 & high), (s._l & low) | (s._l >> 1 & high)
+    r, bu, t = (r & low) | (r >> 1 & high), (bu & low) | (bu >> 1 & high), t & ~(1 << k)
+    if lam:
+        # v keeps the top bit, m-1: the ket map [e_k | R_{-k}] and
+        # q + v * (r.u + t_k); summing w out then makes g = v + (B u).u'
+        # the linear phase and adds g * (1 + l) to q (``sum_out_var``).
+        top = 1 << (m - 1)
+        rows[k] = top
+        sym.append(0)
+        lin, q0 = _times(sym, lin, s._q0, top, 0, r, tk)
+        lin, q0 = _times(sym, lin, q0, top | bu, g0, l, s._l0 ^ 1)
+        return _make(n, m, rows, t, top | bu, g0, sym, lin, q0, cols)
+    # The sum over w forces v = (B u).u' + g0: bit k of the ket reads
+    # that, and v * (r.u + t_k) becomes ((B u).u' + g0)(r.u + t_k).
+    rows[k] = bu
+    lin, q0 = _times(sym, lin, s._q0, bu, g0, r, tk)
+    return _make(n, m - 1, rows, t | g0 << k, l, s._l0, sym, lin, q0, cols)
 
 
 def _grown_frame(cols: list[int], col: int, r: int, m: int) -> list[int]:
@@ -549,50 +568,44 @@ def sum_out_var(s: AffineForm, dead: int) -> AffineForm:
                 global (1+i):  l' = g,  q' = h + g*(1 + lt).
 
     Raises:
+        ValueError: if ``dead`` is not in 0..m-1.
         InvariantError: if the ket still depends on ``dead``, or the
         constraint is 1 = 0.
     """
-    p = s._m - 1 - dead
+    m, dead = s._m, operator.index(dead)
+    if not 0 <= dead < m:
+        raise ValueError(f"parameter {dead} out of range for m = {m}")
+    p = m - 1 - dead
     pbit = 1 << p
     if any(x & pbit for x in s._rows):
         raise InvariantError("dead parameter still appears in the ket")
     low, high = pbit - 1, -pbit
+    rows = [(x & low) | (x >> 1 & high) for x in s._rows]
     sym = [(x & low) | (x >> 1 & high) for x in s._sym]
-    g = sym.pop(p)
-    return _sum_out(s.n, s._m - 1, [(x & low) | (x >> 1 & high) for x in s._rows],
-                    s._t, s._l >> p & 1, g, s._lin >> p & 1,
-                    (s._l & low) | (s._l >> 1 & high), s._l0, sym,
-                    (s._lin & low) | (s._lin >> 1 & high), s._q0)
-
-
-def _sum_out(n: int, m: int, rows: list[int], t: int, lam: int, g: int, g0: int,
-             l: int, l0: int, sym: list[int], lin: int, q0: int) -> AffineForm:
-    """The case table of ``sum_out_var``, given its pieces over the m
-    live parameters: l = (l, l0) is lt and (sym, lin, q0) is h."""
-    if lam:
-        lin, q0 = _times(sym, lin, q0, g, g0, l, l0 ^ 1)
-        return _make(n, m, rows, t, g, g0, sym, lin, q0, None)
+    g, g0 = sym.pop(p), s._lin >> p & 1
+    l, lin = (s._l & low) | (s._l >> 1 & high), (s._lin & low) | (s._lin >> 1 & high)
+    if s._l >> p & 1:
+        lin, q0 = _times(sym, lin, s._q0, g, g0, l, s._l0 ^ 1)
+        return _make(s.n, m - 1, rows, s._t, g, g0, sym, lin, q0, None)
     if not g:
         if g0:
             raise InvariantError("constraint 1 = 0 would annihilate the state")
-        return _make(n, m, rows, t, l, l0, sym, lin, q0, None)
+        return _make(s.n, m - 1, rows, s._t, l, s._l0, sym, lin, s._q0, None)
     # g = 0 fixes u_f = a(others), f the first parameter g depends on
     # (its top bit); q = h_rest + u_f * (B[f].u + lin_f).
     f = g.bit_length() - 1
     fbit = 1 << f
     low, high = fbit - 1, -fbit
     a = (g & low) | (g >> 1 & high)
-    if g0:
-        t ^= sum(1 << i for i, x in enumerate(rows) if x & fbit)
+    t = s._t ^ (sum(1 << i for i, x in enumerate(rows) if x & fbit) if g0 else 0)
     rows = [((x & low) | (x >> 1 & high)) ^ (a if x & fbit else 0) for x in rows]
-    lf = l >> f & 1
-    hf = sym[f]
+    lf, hf = l >> f & 1, sym[f]
     sym = [(x & low) | (x >> 1 & high) for x in sym]
     del sym[f]
-    lin2, q0 = _times(sym, (lin & low) | (lin >> 1 & high), q0, a, g0,
+    lin2, q0 = _times(sym, (lin & low) | (lin >> 1 & high), s._q0, a, g0,
                       (hf & low) | (hf >> 1 & high), lin >> f & 1)
-    return _make(n, m - 1, rows, t,
-                 ((l & low) | (l >> 1 & high)) ^ (a if lf else 0), l0 ^ (lf & g0),
+    return _make(s.n, m - 2, rows, t,
+                 ((l & low) | (l >> 1 & high)) ^ (a if lf else 0), s._l0 ^ (lf & g0),
                  sym, lin2, q0, None)
 
 

@@ -11,6 +11,7 @@ from affstab import (AffineForm, Circuit, GateKind, amplitude, apply_gate, apply
                      sum_out_var, to_statevector)
 from affstab import gf2, measure
 from affstab.affine import LinForm, QuadForm, _make, _times
+from affstab.circuit import ARITY
 from affstab.errors import ClassificationError, InvariantError
 from affstab.statevector import equal_up_to_phase, run_statevector
 from helpers import BAD_QUERIES, compose_quad, random_clifford_circuit
@@ -366,6 +367,78 @@ def test_sum_out_var_raises_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _pieces(s: AffineForm) -> tuple:
+    """Every stored piece of a form, frame included, as plain values."""
+    return (s.n, s.m, list(s._rows), s._t, s._l, s._l0, list(s._sym), s._lin, s._q0,
+            None if s._cols is None else list(s._cols))
+
+
+@pytest.mark.parametrize("index", [int, np.int64])
+@pytest.mark.parametrize("kind", CLIFFORD_ALL)
+def test_updates_refuse_qubits_outside_the_form(kind, index):
+    # A Gate does not know n, so each public update checks its qubits
+    # before it touches anything: X at qubit 5 of a 3-qubit form used to
+    # set bit 5 of t, which dump() does not show.
+    tracked = apply_gate(apply_h(init_zero(3), 0), gate(GateKind.CNOT, 0, 1))
+    bare = AffineForm(3, tracked.R, tracked.t, tracked.l, tracked.q)
+    for s in (tracked, bare):
+        before = _pieces(s)
+        for bad in (3, -1):
+            places = [(bad,)] if ARITY[kind] == 1 else [(bad, 1), (1, bad)]
+            for qubits in places:
+                qubits = tuple(map(index, qubits))
+                calls = [lambda: apply_gate(s, gate(kind, *qubits))]
+                if kind is GateKind.H:
+                    calls.append(lambda: apply_h(s, qubits[0]))
+                elif kind not in (GateKind.PDG, GateKind.SWAP):
+                    calls.append(lambda: apply_phase_family(s, gate(kind, *qubits)))
+                for call in calls:
+                    with pytest.raises(ValueError, match=rf"^qubit {bad} out of range for 3 qubits$"):
+                        call()
+        assert _pieces(s) == before
+
+
+def test_numpy_qubit_and_parameter_indices_past_one_word():
+    # apply_h and sum_out_var take numpy integers as Python ints, also
+    # where a numpy shift past bit 63 would overflow.
+    s = apply_gate(run_clifford(random_clifford_circuit(np.random.default_rng(7), 90, 900)),
+                   gate(GateKind.X, 80))
+    for k in (0, 80, 89):
+        assert apply_h(s, np.int64(k)).dump() == apply_h(s, k).dump()
+    wide = _make(s.n, s.m + 1, s._rows, s._t, s._l, s._l0, s._sym + [0], s._lin, s._q0, None)
+    assert sum_out_var(wide, np.int64(0)).dump() == sum_out_var(wide, 0).dump()
+
+
+SUM_OUT_ERRORS = (
+    "import numpy as np\n"
+    "from affstab import AffineForm, LinForm, QuadForm, apply_h, init_zero, sum_out_var\n"
+    "from affstab.errors import InvariantError\n"
+    "reads = apply_h(apply_h(init_zero(2), 0), 1)\n"
+    "annihilated = AffineForm(1, np.array([[1, 0]], dtype=np.uint8), np.zeros(1, dtype=np.uint8),\n"
+    "                         LinForm.zero(2), QuadForm(np.zeros((2, 2), dtype=np.uint8),\n"
+    "                                                   np.array([0, 1], dtype=np.uint8)))\n"
+    "for s, dead in ((reads, 0), (annihilated, 1), (reads, -1), (reads, 2), (reads, 5)):\n"
+    "    try:\n"
+    "        sum_out_var(s, dead)\n"
+    "    except (InvariantError, ValueError) as exc:\n"
+    "        print(type(exc).__name__, exc)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_sum_out_var_errors_hold_under_optimize(flags):
+    # Every refusal is a typed error, not an assert; an index outside
+    # 0..m-1 is refused first (m = 2 here).
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, *flags, "-c", SUM_OUT_ERRORS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == ("InvariantError dead parameter still appears in the ket\n"
+                           "InvariantError constraint 1 = 0 would annihilate the state\n"
+                           "ValueError parameter -1 out of range for m = 2\n"
+                           "ValueError parameter 2 out of range for m = 2\n"
+                           "ValueError parameter 5 out of range for m = 2\n"), done.stderr
 
 
 def test_apply_h_rejects_rank_deficient_form():

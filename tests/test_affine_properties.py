@@ -7,6 +7,8 @@ exactly with the rule it replaced, which found the widened kernel by
 elimination (a pivot count and ``helpers.kernel_basis``).
 """
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,3 +110,33 @@ def test_hadamard_on_rank_deficient_widening(case, data):
     want = eliminating_h(s, k)
     assert want.m <= s.m
     assert apply_h(s, k).dump() == want.dump()
+
+
+def _h_case(s: AffineForm, k: int) -> tuple[str, ...]:
+    """The rules ``apply_h(s, k)`` takes, read off the frame column."""
+    m, u = s.m, s.frame[:, k]
+    if u[m:].any():
+        return ("grow",)
+    u = u[:m]
+    lam = "lam1" if gf2.dot(s.l.coeffs, u) else f"lam0 g0={s.q(u) ^ s.q.const}"
+    # The dead parameter is the first one u uses; parameter 0 is bit m-1.
+    return lam, "p=m-1" if u[0] else "p<m-1"
+
+
+def test_hadamard_past_one_machine_word_matches_elimination():
+    # Bit rows of 63 to 129 bits cross the one- and two-word edges; on
+    # 10n-gate circuits every Hadamard rule runs, and each one must give
+    # the elimination rule's form exactly.
+    rng = np.random.default_rng(25)
+    kinds, seen = list(ARITY), Counter()
+    for n in (63, 64, 65, 127, 128, 129):
+        s = init_zero(n)
+        for _ in range(10 * n):
+            kind = kinds[rng.integers(len(kinds))]
+            g = gate(kind, *map(int, rng.choice(n, ARITY[kind], replace=False)))
+            after = apply_gate(s, g)
+            if kind is GateKind.H:
+                seen.update(_h_case(s, g.qubits[0]))
+                assert after.dump() == eliminating_h(s, g.qubits[0]).dump()
+            s = after
+    assert set(seen) == {"grow", "lam1", "lam0 g0=0", "lam0 g0=1", "p=m-1", "p<m-1"}, seen
