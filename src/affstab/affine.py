@@ -471,15 +471,7 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
     #   lam = l.u,   g = v + (B u).u' + q(u) - q(0)   (u' the others),
     # and everything else restricted to the live parameters.
     p = u.bit_length() - 1
-    sym = s._sym
-    bu = pairs = 0
-    x = u
-    while x:
-        bit = x & -x
-        row = sym[bit.bit_length() - 1]
-        bu ^= row
-        pairs += (row & u).bit_count()
-        x ^= bit
+    bu, pairs = _cross(s._sym, u)
     g0 = ((pairs >> 1) + (s._lin & u).bit_count()) & 1
     lam = (s._l & u).bit_count() & 1
 
@@ -487,7 +479,7 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
     # Drop bit p, C(x) = (x & low) | (x >> 1 & high), from every piece.
     low, high = (1 << p) - 1, -(1 << p)
     rows = [(x & low) | (x >> 1 & high) for x in rows]
-    sym = [(x & low) | (x >> 1 & high) for x in sym]
+    sym = [(x & low) | (x >> 1 & high) for x in s._sym]
     del sym[p]
     lin, l = (s._lin & low) | (s._lin >> 1 & high), (s._l & low) | (s._l >> 1 & high)
     r, bu, t = (r & low) | (r >> 1 & high), (bu & low) | (bu >> 1 & high), t & ~(1 << k)
@@ -506,6 +498,21 @@ def apply_h(s: AffineForm, k: int) -> AffineForm:
     rows[k] = bu
     lin, q0 = _times(sym, lin, s._q0, bu, g0, r, tk)
     return _make(n, m - 1, rows, t | g0 << k, l, s._l0, sym, lin, q0, cols)
+
+
+def _cross(sym: list[int], u: int) -> tuple[int, int]:
+    """(B u, pairs) for B given by its rows ``sym``: B u is the XOR of
+    the rows u selects, and pairs, the sum of |B[i] & u| over the set
+    bits i of u, counts each cross term of q that u sets twice."""
+    bu = pairs = 0
+    x = u
+    while x:
+        bit = x & -x
+        row = sym[bit.bit_length() - 1]
+        bu ^= row
+        pairs += (row & u).bit_count()
+        x ^= bit
+    return bu, pairs
 
 
 def _grown_frame(cols: list[int], col: int, r: int, m: int) -> list[int]:
@@ -644,10 +651,10 @@ def run_clifford(c: Circuit) -> AffineForm:
 def amplitude(s: AffineForm, x) -> complex:
     """Amplitude of basis state |x>, up to the state's global phase.
 
-    The frame gives u = F[:m](x + t), one column XOR per set bit, and
-    x is in the support iff the check rows (bits m and up) read 0.
-    The phase is i^(l.u + l0) (-1)^q(u); q's cross terms are half the
-    sum over set bits i of u of |B[i] & u|, as ``apply_h`` counts them.
+    The frame gives u = F[:m](x + t) (``gf2.combine``), and x is in the
+    support iff the check rows (bits m and up) read 0.  The phase is
+    i^(l.u + l0) (-1)^q(u); q's cross terms are half the sum over set
+    bits i of u of |B[i] & u|, as ``_cross`` counts them for ``apply_h``.
 
     Raises:
         ValueError: if x is not one bit equal to 0 or 1 per qubit.
@@ -656,22 +663,11 @@ def amplitude(s: AffineForm, x) -> complex:
     bits = list(x)
     if len(bits) != s.n or not {0, 1}.issuperset(bits):
         raise ValueError(f"basis state must be {s.n} bits, each 0 or 1")
-    cols = _frame_cols(s)
-    offset = s._t ^ sum(1 << k for k, b in enumerate(bits) if b)
-    u = 0
-    while offset:
-        low = offset & -offset
-        u ^= cols[low.bit_length() - 1]
-        offset ^= low
+    u = gf2.combine(_frame_cols(s), s._t ^ sum(1 << k for k, b in enumerate(bits) if b))
     m = s._m
     if u >> m:
         return 0j
-    pairs = 0
-    y = u
-    while y:
-        low = y & -y
-        pairs += (s._sym[low.bit_length() - 1] & u).bit_count()
-        y ^= low
+    pairs = _cross(s._sym, u)[1]
     i_exp = ((s._l & u).bit_count() + s._l0) & 1
     sign = ((pairs >> 1) + (s._lin & u).bit_count() + s._q0) & 1
     return (1j ** i_exp) * ((-1.0) ** sign) * 2.0 ** (-m / 2)

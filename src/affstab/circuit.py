@@ -107,7 +107,14 @@ class Gate(_GateFields):
     """A single gate: kind, ordered distinct qubit indices, optional angle.
 
     Indices are stored as a tuple of Python ints (numpy integers are
-    converted), since the simulators use them as shift counts.
+    converted), since the simulators use them as shift counts; an angle
+    likewise, as a (num, den) tuple of Python ints with den > 0.
+
+    Raises:
+        TypeError: if a qubit or an angle entry is not an integer.
+        ValueError: on a wrong qubit count, a duplicate qubit, an angle
+        on an unangled kind (or none on an angled one), an angle that is
+        not two entries, or a denominator that is not positive.
     """
 
     __slots__ = ()
@@ -123,8 +130,12 @@ class Gate(_GateFields):
             raise ValueError(f"duplicate qubit in {kind.value} gate")
         if (angle is not None) != (kind in ANGLED):
             raise ValueError(f"angle mismatch for {kind.value}")
-        if angle is not None and angle[1] <= 0:
-            raise ValueError("angle denominator must be positive")
+        if angle is not None:
+            angle = tuple(map(operator.index, angle))
+            if len(angle) != 2:
+                raise ValueError(f"angle must be (num, den), got {len(angle)} entries")
+            if angle[1] <= 0:
+                raise ValueError("angle denominator must be positive")
         return _tuple_new(cls, (kind, qubits, angle))
 
 

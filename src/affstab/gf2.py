@@ -12,7 +12,9 @@ because R's newest parameter sits at the top bit: on ``_echelon``'s
 lowest-bit pivots a first query on a new subset took 1.5-3x as long
 at n = 50-1000.  ``counting_columns`` alone builds the columns of
 counting through m bits, for HT counting and the support listing;
-``transpose`` alone turns rows into columns, for the frame and the stack.
+``combine`` is the one product M x (M by its columns), for
+``measure``, ``amplitude`` and the state-preparation form;
+``transpose`` turns rows into columns (frame, stack) by ``bit_matrix``.
 
 The numpy functions take and return uint8 arrays with entries in
 {0, 1}; ``ints`` and ``bit_matrix`` convert to and from bit rows.  Of
@@ -55,11 +57,18 @@ def bit_matrix(rows: list[int], width: int) -> np.ndarray:
 
 
 def transpose(rows: list[int], k: int) -> list[int]:
-    """The k columns of bit rows below 2^k: bit i of column j is bit j of
-    ``rows[i]``.  With the rows written last first as k-digit binary
-    strings in one string, column j is one strided slice, in C."""
-    digits = "".join([format(x, f"0{k}b") for x in reversed(rows)])
-    return [int(digits[j::k] or "0", 2) for j in range(k - 1, -1, -1)]
+    """The k columns of bit rows below 2^k: column j holds bit j of row i at bit i."""
+    return ints(bit_matrix(rows, k).T)
+
+
+def combine(cols: list[int], x: int) -> int:
+    """M x over GF(2), M by its columns: the XOR of ``cols[i]`` over set bits i of x."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= cols[low.bit_length() - 1]
+        x ^= low
+    return out
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

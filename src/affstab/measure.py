@@ -239,12 +239,7 @@ def weak_sample_many(s: AffineForm, subset, shots: int,
     us = rng.integers(0, 2, size=(shots, s.m), dtype=np.uint8)
     # A row keeps parameter i at bit m-1-i: reversed, bit b reads params[b].
     params, ones = gf2.ints(us.T)[::-1], (1 << shots) - 1
-    out = [ones if flip else 0 for flip in t_s]
-    for k, sel in enumerate(rows):
-        while sel:
-            low = sel & -sel
-            out[k] ^= params[low.bit_length() - 1]
-            sel ^= low
+    out = [gf2.combine(params, row) ^ (ones if flip else 0) for row, flip in zip(rows, t_s)]
     return np.ascontiguousarray(gf2.bit_matrix(out, shots).T)
 
 
@@ -264,7 +259,7 @@ def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, Dy
     if 2 ** rank > cap:
         raise CapacityError(
             f"support has {2 ** rank} outcomes, which exceeds the cap {cap}")
-    # One int per outcome position, outcome j at bit j.  The positions
+    # cols[b] is position b's column (outcome j at bit j).  The positions
     # of the pivot rows are free, and take the bits of j from the
     # highest down; every other position is fixed by its check, which
     # reads only positions before it.  So the first position where two
@@ -272,20 +267,11 @@ def enumerate_support(s: AffineForm, subset, cap: int) -> list[tuple[Outcome, Dy
     count = 1 << rank
     codes = reversed(gf2.counting_columns(rank))
     fixed = {check & -check: check for check in readout.checks}
-    cols, ones = {}, (1 << count) - 1
-    for k in range(size):
-        bit = 1 << size - 1 - k
-        check = fixed.get(bit)
-        if check is None:
-            cols[bit] = next(codes)
-            continue
-        col = ones if (t & check).bit_count() & 1 else 0
-        rest = check ^ bit
-        while rest:
-            low = rest & -rest
-            col ^= cols[low]
-            rest ^= low
-        cols[bit] = col
-    outs = gf2.bit_matrix(list(cols.values()), count).T
+    cols, ones = [0] * size, (1 << count) - 1
+    for b in range(size - 1, -1, -1):
+        check = fixed.get(1 << b)
+        cols[b] = next(codes) if check is None else (
+            gf2.combine(cols, check ^ 1 << b) ^ (ones if (t & check).bit_count() & 1 else 0))
+    outs = gf2.bit_matrix(cols[::-1], count).T
     return [(Outcome(readout.qubits, tuple(bits)), readout.prob)
             for bits in outs.tolist()]

@@ -117,9 +117,11 @@ def conjugate_pauli(p: tuple[int, int, int], g: Gate) -> tuple[int, int, int]:
     """g p g^dagger for the signed Pauli p = (e, x, z), exact sign included.
 
     Raises:
-        ValueError: if g is not a Clifford gate.
+        ValueError: if x or z is negative, or g is not a Clifford gate.
     """
     e, x, z = p
+    if x < 0 or z < 0:
+        raise ValueError(f"a Pauli's x and z must be non-negative, got x={x}, z={z}")
     n = max(x.bit_length(), z.bit_length(), max(g.qubits) + 1)
     st = _PauliStack([x >> a & 1 for a in range(n)], [z >> a & 1 for a in range(n)],
                      e & 1, e >> 1 & 1)
@@ -258,20 +260,15 @@ def synthesize_state_prep(s: AffineForm) -> NormalFormState:
         if (row & t).bit_count() & 1:
             shift |= 1 << p
     # l: coefficients K^T l, constant l0 + l.shift.
-    d = 0
-    for p in _set_bits(l):
-        d ^= left[p]
+    d = gf2.combine(left, l)
     d0 = l0 ^ ((l & shift).bit_count() & 1)
     # q with B = cross + cross^T: cross terms K^T B K; the squares of
     # each cross term u_p u_r (p < r) give the linear terms K_p & K_r;
     # the shift adds K^T (B shift), and q's own linear part K^T lin.
     cross, lin_z = [0] * n, 0
     for p, row in enumerate(left):
-        bk = upper = 0
-        for j in _set_bits(sym[p]):
-            bk ^= left[j]
-            if j > p:
-                upper ^= left[j]
+        upper = gf2.combine(left, sym[p] >> p + 1 << p + 1)
+        bk = upper ^ gf2.combine(left, sym[p] & (1 << p) - 1)   # B's diagonal is 0
         lin_z ^= row & upper
         if ((sym[p] & shift).bit_count() ^ (lin >> p)) & 1:
             lin_z ^= row

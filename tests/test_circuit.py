@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from affstab import (Circuit, CircuitClass, Gate, GateKind, ParseError, classify,
                      emit, gate, parse)
 from affstab.circuit import ANGLED, ARITY, basic_clifford_gates
+from affstab.statevector import run_statevector
 from helpers import random_text_circuit
 
 
@@ -249,6 +250,42 @@ def test_gate_validation():
         gate(GateKind.ZROT, 0)  # missing angle
     with pytest.raises(ValueError):
         gate(GateKind.ZROT, 0, angle=(1, 0))
+
+
+@pytest.mark.parametrize("kind, qubits, angle, error", [
+    (GateKind.ZROT, (0,), (1.5, 2), TypeError),
+    (GateKind.ZROT, (0,), (1, 2.0), TypeError),
+    (GateKind.ZROT, (0,), ("1", 2), TypeError),
+    (GateKind.ZROT, (0,), 5, TypeError),
+    (GateKind.CZROT, (0, 1), (1, 2, 3), ValueError),
+    (GateKind.ZROT, (0,), (1,), ValueError),
+    (GateKind.ZROT, (0,), (), ValueError),
+    (GateKind.CZROT, (0, 1), (1, 0), ValueError),
+    (GateKind.ZROT, (0,), (3, -1), ValueError),
+])
+def test_gate_refuses_malformed_angles(kind, qubits, angle, error):
+    # Before, each of these was stored as given: emit then wrote text
+    # that parse refused, or read back as another angle.
+    with pytest.raises(error):
+        Gate(kind, qubits, angle)
+
+
+@pytest.mark.parametrize("angle, want", [
+    ((True, 2), (1, 2)),
+    ([1, 4], (1, 4)),
+    ((np.int64(-3), np.uint8(8)), (-3, 8)),
+    (np.array([5, 16]), (5, 16)),
+    ((2 ** 70, 3), (2 ** 70, 3)),
+])
+def test_gate_angles_are_python_int_pairs_that_round_trip(angle, want):
+    for kind, qubits in ((GateKind.ZROT, (1,)), (GateKind.CZROT, (2, 0))):
+        g = Gate(kind, qubits, angle)
+        assert g.angle == want and type(g.angle) is tuple
+        assert all(type(v) is int for v in g.angle)
+        assert hash(g) == hash(Gate(kind, qubits, want))
+        c = Circuit(3, (g,), None, (0, 1, 2))
+        assert parse(emit(c)) == c
+        assert run_statevector(c).shape == (8,)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affstab import gf2
@@ -236,8 +236,35 @@ def test_transpose_matches_numpy(seed, k, count, density):
     # Widths on both sides of a 64-bit word, and k = 0 and 1.
     a = (np.random.default_rng(seed).random((count, k)) < density).astype(np.uint8)
     rows = gf2.ints(a)
-    assert gf2.transpose(rows, k) == gf2.ints(gf2.bit_matrix(rows, k).T)
-    assert gf2.transpose(gf2.transpose(rows, k), count) == rows
+    cols = gf2.transpose(rows, k)
+    assert cols == gf2.ints(gf2.bit_matrix(rows, k).T)
+    # The definition, bit by bit.
+    assert cols == [sum((x >> j & 1) << i for i, x in enumerate(rows)) for j in range(k)]
+    assert gf2.transpose(cols, count) == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 130), st.integers(0, 130),
+       st.sampled_from([0.05, 0.5, 0.95]), st.sampled_from(["random", "zero", "high"]))
+@example(0, 0, 0, 0.5, "zero")     # cols = [], x = 0
+@example(1, 130, 130, 0.95, "high")
+@example(2, 1, 130, 0.5, "random")
+def test_combine_matches_mat_mul(seed, rows, count, density, pick):
+    # Up to 130 rows and columns, past one 64-bit word either way.
+    rng = np.random.default_rng(seed)
+    m = (rng.random((rows, count)) < density).astype(np.uint8)
+    if pick == "zero" or not count:
+        v = np.zeros(count, dtype=np.uint8)
+    elif pick == "high":
+        v = np.zeros(count, dtype=np.uint8)
+        v[-min(count, 3):] = 1   # the top set bits only
+    else:
+        v = (rng.random(count) < density).astype(np.uint8)
+    cols = gf2.ints(m.T)   # column i of m, row r at bit r
+    (x,) = gf2.ints(v[None, :])
+    (want,) = gf2.ints(gf2.mat_mul(m, v)[None, :])
+    assert gf2.combine(cols, x) == want
+    assert gf2.combine(cols, 0) == 0
 
 
 def package_gf2_uses() -> set[str]:

@@ -85,6 +85,17 @@ def test_conjugate_pauli_rejects_non_clifford():
         conjugated_generators(parse("qubits 3\ntoffoli 0 1 2"))
 
 
+def test_conjugate_pauli_refuses_negative_x_and_z():
+    h = gate(GateKind.H, 0)
+    # Before, -1 was read as X on every qubit and -2 as Z on qubit 1 up.
+    for p in ((0, -1, 0), (0, 1, -2), (2, -4, 1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            conjugate_pauli(p, h)
+    # The exponent is read mod 4, negative or not.
+    assert conjugate_pauli((5, 1, 0), h) == conjugate_pauli((1, 1, 0), h) == (1, 0, 1)
+    assert conjugate_pauli((-1, 1, 0), h) == conjugate_pauli((3, 1, 0), h) == (3, 0, 1)
+
+
 def test_conjugated_generators_examples():
     c = parse("qubits 2\nmeasure 0")
     assert conjugated_generators(c) == [(0, 0b01, 0), (0, 0b10, 0)]
