@@ -68,7 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .circuit import Circuit, CircuitClass, Gate, GateKind, classify
+from .circuit import (Circuit, CircuitClass, Gate, GateKind, _CNOT, _CZ, _H, _P, _PDG, _SWAP,
+                      _X, _Z, classify)
 from .errors import CapacityError, ClassificationError, InvariantError
 from .statevector import MAX_QUBITS
 
@@ -325,9 +326,6 @@ def _times(sym: list[int], lin: int, q0: int, a: int, a0: int, b: int,
     return lin, q0 ^ (a0 & b0)
 
 
-# The kinds as module names: one global load each in the per-gate dispatch.
-_H, _P, _PDG, _X, _Z = GateKind.H, GateKind.P, GateKind.PDG, GateKind.X, GateKind.Z
-_CNOT, _CZ, _SWAP = GateKind.CNOT, GateKind.CZ, GateKind.SWAP
 _PHASE_FAMILY = frozenset((_P, _X, _Z, _CZ, _CNOT))
 
 

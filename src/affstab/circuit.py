@@ -27,10 +27,23 @@ unchecked constructor, ``_gate``, after their callers' own checks
 ``--qubits``, whose gates are already checked.
 
 ``parse`` interns repeated gate lines: within one call, every body line
-with the same raw text shares one ``Gate``.  A measure line gets the
-one measured-subset check, ``_check_measured``, with its line number,
-and ``prep`` lines the per-qubit width check, ``_check_width``.  One
-writer, ``_emit``, writes ``emit``'s text and the CLI's normal forms.
+with the same raw text shares one ``Gate``.  A gate line not seen
+before is checked on one straight-line path for its shape (one, two or
+three qubits, or ZROT/CZROT's qubits and two angle ints): ``int`` on
+each token, chained comparisons for the range, ``!=`` for distinct
+qubits, and the ``Gate`` built by ``tuple.__new__``; it is split at a
+``#`` only when it holds one.  Every error is raised in a branch of its
+own, in rule order (argument count, integers, range, distinct qubits,
+denominator), naming the first token that breaks the rule, with its
+line number.  A measure line gets the one
+measured-subset check, ``_check_measured``, with its line number, and
+``prep`` lines the per-qubit width check, ``_check_width``.
+
+One writer, ``_emit``, writes ``emit``'s text and the CLI's normal
+forms.  Each gate line is one ``%`` of its kind's format string in
+``_FMT`` (``"h %d"``, ``"cnot %d %d"``, ``"toffoli %d %d %d"``,
+``"zrot %d %d %d"``, ``"czrot %d %d %d %d"``) with the qubits, then the
+angle's num and den.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import CapacityError, ParseError
+from .errors import CapacityError, InvariantError, ParseError
 
 
 class GateKind(enum.Enum):
@@ -61,6 +74,13 @@ class GateKind(enum.Enum):
     # identity too, in C; ``Enum.__hash__`` is a Python call per lookup.
     __hash__ = object.__hash__
 
+
+# The kinds as module names, for per-gate dispatch: ``GateKind.H`` is a
+# lookup through the ``EnumType`` metaclass that the interpreter does not
+# specialise (about 100 ns), a module global one load (about 8 ns).
+_H, _P, _PDG, _X, _Z = GateKind.H, GateKind.P, GateKind.PDG, GateKind.X, GateKind.Z
+_CNOT, _CZ, _SWAP, _TOFFOLI = GateKind.CNOT, GateKind.CZ, GateKind.SWAP, GateKind.TOFFOLI
+_ZROT, _CZROT = GateKind.ZROT, GateKind.CZROT
 
 ARITY = {
     GateKind.H: 1,
@@ -201,6 +221,15 @@ def _check_width(n: int) -> None:
                             f"the limit is {sys.maxsize}")
 
 
+def _check_batch(shots: int, n: int, itemsize: int = 1) -> None:
+    """Raise ``CapacityError`` for a (shots, n) batch of ``itemsize``-byte
+    entries past the index range, before it is allocated: numpy refuses
+    such a shape as a bad size (and a shot count past it even at n = 0)."""
+    if shots * max(n, 1) * itemsize > sys.maxsize:
+        raise CapacityError(f"{shots} shots of {n} qubits need {shots * n} bits; "
+                            f"the limit is {sys.maxsize // itemsize}")
+
+
 def _bad_norm2(a: complex, b: complex) -> float | None:
     """|a|^2 + |b|^2 of a prep pair off 1 by more than ``PREP_NORM_TOL``, else None."""
     norm2 = abs(a) * abs(a) + abs(b) * abs(b)  # inf, not OverflowError
@@ -249,7 +278,7 @@ def classify(c: Circuit) -> CircuitClass:
 
 def _h_prefix(gates: tuple[Gate, ...]) -> int:
     """How many H gates ``gates`` starts with: an HT circuit's Hadamard layer."""
-    return next((i for i, g in enumerate(gates) if g.kind is not GateKind.H), len(gates))
+    return next((i for i, g in enumerate(gates) if g.kind is not _H), len(gates))
 
 
 def _first_outside(gates: tuple[Gate, ...], kinds) -> Gate | None:
@@ -260,11 +289,11 @@ def _first_outside(gates: tuple[Gate, ...], kinds) -> Gate | None:
 def basic_clifford_gates(gates: Iterable[Gate]) -> Iterator[Gate]:
     """Yield gates with SWAP -> 3 CNOTs and PDG -> 3 PHASEs expanded."""
     for g in gates:
-        if g.kind is GateKind.SWAP:
-            ab = _gate(GateKind.CNOT, g.qubits)
-            yield from (ab, _gate(GateKind.CNOT, g.qubits[::-1]), ab)
-        elif g.kind is GateKind.PDG:
-            yield from [_gate(GateKind.P, g.qubits)] * 3
+        if g.kind is _SWAP:
+            ab = _gate(_CNOT, g.qubits)
+            yield from (ab, _gate(_CNOT, g.qubits[::-1]), ab)
+        elif g.kind is _PDG:
+            yield from [_gate(_P, g.qubits)] * 3
         else:
             yield g
 
@@ -284,6 +313,7 @@ def parse(text: str) -> Circuit:
     n_qubits = None
     prep_pairs: dict[int, tuple[complex, complex]] = {}
     gates: list[Gate] = []
+    append = gates.append
     measured: tuple[int, ...] | None = None
     in_body = False  # after the header and before 'measure'
 
@@ -297,9 +327,9 @@ def parse(text: str) -> Circuit:
         if in_body:
             hit = seen.get(raw)
             if hit is not None:
-                gates.append(hit)
+                append(hit)
                 continue
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         verb = tokens[0]
@@ -308,31 +338,72 @@ def parse(text: str) -> Circuit:
             verb = verb.lower()
             spec = specs.get(verb)
         if spec is not None and in_body:
-            # A gate: the checks of ``Gate``, in the order the messages
-            # promise.
-            kind, arity, want = spec
-            if len(tokens) != want + 1:
-                raise ParseError(ln, f"'{verb}' takes {want} argument(s)")
-            try:
-                # tuple() of a list reuses freed small tuples; tuple(map())
-                # allocates fresh ones, which runs the cyclic garbage
-                # collector more often.
-                nums = tuple([int(tok) for tok in tokens[1:]])
-            except ValueError:
-                nums = tuple(_parse_int(ln, tokens[1:], verb))  # raises: a bad token
-            qubits = nums if want == arity else nums[:arity]
-            for q in qubits:
-                if not 0 <= q < n_qubits:
-                    raise ParseError(ln, f"qubit index {q} out of range for {n_qubits} qubits")
-            if arity > 1 and len(set(qubits)) != arity:
-                raise ParseError(ln, f"duplicate qubit in '{verb}'")
-            angle = None
-            if want != arity:
-                if nums[arity + 1] <= 0:
+            # A gate line, checked straight through for its shape with
+            # the rules in the order the messages promise: argument
+            # count, integers, range, distinct qubits, denominator.
+            kind, arity, size = spec
+            if len(tokens) != size:
+                raise ParseError(ln, f"'{verb}' takes {size - 1} argument(s)")
+            if size == 2:  # h, p, pdg, x, z
+                try:
+                    a = int(tokens[1])
+                except ValueError:
+                    raise _bad_int(ln, verb, tokens[1:]) from None
+                if not 0 <= a < n_qubits:
+                    raise _out_of_range(ln, (a,), n_qubits)
+                g = _tuple_new(Gate, (kind, (a,), None))
+            elif size == 3:  # cnot, cz, swap
+                try:
+                    a = int(tokens[1])
+                    b = int(tokens[2])
+                except ValueError:
+                    raise _bad_int(ln, verb, tokens[1:]) from None
+                if not (0 <= a < n_qubits and 0 <= b < n_qubits):
+                    raise _out_of_range(ln, (a, b), n_qubits)
+                if a == b:
+                    raise ParseError(ln, f"duplicate qubit in '{verb}'")
+                g = _tuple_new(Gate, (kind, (a, b), None))
+            elif arity == 3:  # toffoli
+                try:
+                    a = int(tokens[1])
+                    b = int(tokens[2])
+                    c = int(tokens[3])
+                except ValueError:
+                    raise _bad_int(ln, verb, tokens[1:]) from None
+                if not (0 <= a < n_qubits and 0 <= b < n_qubits and 0 <= c < n_qubits):
+                    raise _out_of_range(ln, (a, b, c), n_qubits)
+                if not (a != b and a != c and b != c):
+                    raise ParseError(ln, f"duplicate qubit in '{verb}'")
+                g = _tuple_new(Gate, (kind, (a, b, c), None))
+            elif arity == 1:  # zrot
+                try:
+                    a = int(tokens[1])
+                    num = int(tokens[2])
+                    den = int(tokens[3])
+                except ValueError:
+                    raise _bad_int(ln, verb, tokens[1:]) from None
+                if not 0 <= a < n_qubits:
+                    raise _out_of_range(ln, (a,), n_qubits)
+                if den <= 0:
                     raise ParseError(ln, "angle denominator must be positive")
-                angle = nums[arity:]
-            g = seen[raw] = _gate(kind, qubits, angle)
-            gates.append(g)
+                g = _tuple_new(Gate, (kind, (a,), (num, den)))
+            else:  # czrot
+                try:
+                    a = int(tokens[1])
+                    b = int(tokens[2])
+                    num = int(tokens[3])
+                    den = int(tokens[4])
+                except ValueError:
+                    raise _bad_int(ln, verb, tokens[1:]) from None
+                if not (0 <= a < n_qubits and 0 <= b < n_qubits):
+                    raise _out_of_range(ln, (a, b), n_qubits)
+                if a == b:
+                    raise ParseError(ln, f"duplicate qubit in '{verb}'")
+                if den <= 0:
+                    raise ParseError(ln, "angle denominator must be positive")
+                g = _tuple_new(Gate, (kind, (a, b), (num, den)))
+            seen[raw] = g
+            append(g)
             continue
         args = tokens[1:]
 
@@ -356,7 +427,7 @@ def parse(text: str) -> Circuit:
                 raise ParseError(ln, "prep takes: qubit a_re a_im b_re b_im")
             q = _parse_int(ln, args[:1], "prep", count=1)[0]
             if not 0 <= q < n_qubits:
-                raise ParseError(ln, f"qubit index {q} out of range for {n_qubits} qubits")
+                raise _out_of_range(ln, (q,), n_qubits)
             if q in prep_pairs:
                 raise ParseError(ln, f"duplicate prep for qubit {q}")
             try:
@@ -390,21 +461,34 @@ def parse(text: str) -> Circuit:
     return _circuit(n_qubits, tuple(gates), prep, measured if measured is not None else (0,))
 
 
-# mnemonic -> (kind, qubit count, argument count)
-_GATE_SPECS = {kind.value: (kind, ARITY[kind], ARITY[kind] + 2 * (kind in ANGLED))
+# mnemonic -> (kind, qubit count, token count with the mnemonic)
+_GATE_SPECS = {kind.value: (kind, ARITY[kind], 1 + ARITY[kind] + 2 * (kind in ANGLED))
                for kind in GateKind}
 
 
 def _parse_int(ln: int, toks: list[str], verb: str, count: int | None = None) -> list[int]:
     if count is not None and len(toks) != count:
         raise ParseError(ln, f"'{verb}' takes {count} argument(s)")
-    out = []
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError:
+        raise _bad_int(ln, verb, toks) from None
+
+
+def _bad_int(ln: int, verb: str, toks: list[str]) -> ParseError:
+    """The error for the first of ``toks`` that ``int`` refuses (one does)."""
     for tok in toks:
         try:
-            out.append(int(tok))
+            int(tok)
         except ValueError:
-            raise ParseError(ln, f"'{verb}': expected integer, got '{tok}'")
-    return out
+            return ParseError(ln, f"'{verb}': expected integer, got '{tok}'")
+    raise InvariantError(f"int refuses none of {toks}")
+
+
+def _out_of_range(ln: int, qubits: tuple[int, ...], n_qubits: int) -> ParseError:
+    """The error for the first of ``qubits`` outside 0..n_qubits-1 (one is)."""
+    q = next(q for q in qubits if not 0 <= q < n_qubits)
+    return ParseError(ln, f"qubit index {q} out of range for {n_qubits} qubits")
 
 
 def emit(c: Circuit) -> str:
@@ -419,13 +503,16 @@ def _emit(n: int, prep, sections, measured) -> str:
     if prep is not None:
         lines += [f"prep {q} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}"
                   for q, (a, b) in enumerate(prep)]
-    append = lines.append
+    fmt = _FMT
     for label, gates in sections:
         if label is not None:
-            append(f"# {label}")
-        for kind, qubits, angle in gates:
-            # ``_value_``: ``.value`` is a Python property call.
-            line = f"{kind._value_} {' '.join(map(str, qubits))}"
-            append(line if angle is None else f"{line} {angle[0]} {angle[1]}")
-    append(f"measure {' '.join(map(str, measured))}\n")
+            lines.append(f"# {label}")
+        lines += [fmt[kind] % (qubits if angle is None else qubits + angle)
+                  for kind, qubits, angle in gates]
+    lines.append(f"measure {' '.join(map(str, measured))}\n")
     return "\n".join(lines)
+
+
+# kind -> its line with a %d per qubit and angle entry, e.g. "cnot %d %d"
+_FMT = {kind: " ".join([kind.value] + ["%d"] * (ARITY[kind] + 2 * (kind in ANGLED)))
+        for kind in GateKind}

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import affine, gf2
 from .affine import AffineForm
-from .circuit import _check_measured
+from .circuit import _check_batch, _check_measured
 from .errors import CapacityError
 
 
@@ -234,8 +234,14 @@ def weak_sample_many(s: AffineForm, subset, shots: int,
     Each shot consumes exactly m fair bits from ``rng``.  Bit-sliced: a
     measured bit, over all shots, is the XOR of the parameter columns
     its row of R selects (shot j at bit j), complemented where t is 1.
+
+    Raises:
+        CapacityError: if shots times m or |S| is past the index range
+        (checked before anything is drawn).
     """
-    rows, t_s = affine.subset_rows(s, _check_measured(s.n, subset))
+    qubits = _check_measured(s.n, subset)
+    _check_batch(shots, max(s.m, len(qubits)))
+    rows, t_s = affine.subset_rows(s, qubits)
     us = rng.integers(0, 2, size=(shots, s.m), dtype=np.uint8)
     # A row keeps parameter i at bit m-1-i: reversed, bit b reads params[b].
     params, ones = gf2.ints(us.T)[::-1], (1 << shots) - 1

@@ -14,35 +14,27 @@ the sampler ignores them outright.
 
 Both families hold one entry per qubit, so a width past the index range
 is refused with ``CapacityError`` (``circuit._check_width``) before
-anything is allocated, and so is an HT batch whose shots times width
-is past it.
+anything is allocated, and so is a sampling batch whose shots times
+width is past it (``circuit._check_batch``, which the Clifford sampler
+shares).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import gf2, measure
-from .circuit import (CLASSICAL_KINDS, Circuit, Gate, GateKind, _CLASSICAL_OR_DIAGONAL,
-                      _check_width, _first_outside, _h_prefix)
+from .circuit import (CLASSICAL_KINDS, Circuit, Gate, _CLASSICAL_OR_DIAGONAL, _CNOT, _TOFFOLI,
+                      _X, _check_batch, _check_width, _first_outside, _h_prefix)
 from .errors import CapacityError, ClassificationError
 from .statevector import normalized_prep
 
 # The widest Hadamard layer ht_strong_count enumerates: the default and
 # the hard maximum of ``width_limit`` (each qubit's mask has 2^m bits).
 DEFAULT_WIDTH_LIMIT = 24
-
-
-def _check_batch(shots: int, n: int) -> None:
-    """Raise ``CapacityError`` for a (shots, n) batch past the index range,
-    before it is allocated: numpy refuses such a shape as a bad size."""
-    if shots * n > sys.maxsize:
-        raise CapacityError(f"{shots} shots of {n} qubits need {shots * n} bits; "
-                            f"the limit is {sys.maxsize}")
 
 
 @dataclass(frozen=True)
@@ -95,12 +87,13 @@ def eval_classical_batch(f: ClassicalFunction, xs: np.ndarray) -> np.ndarray:
 def _apply_classical(cols: list[int], g: Gate, ones: int) -> None:
     # One int per qubit, bit j its value in column j (a shot of the
     # batch or an assignment of the count); ``ones`` sets every column.
-    if g.kind is GateKind.X:
+    kind = g.kind
+    if kind is _X:
         cols[g.qubits[0]] ^= ones
-    elif g.kind is GateKind.CNOT:
+    elif kind is _CNOT:
         c, t = g.qubits
         cols[t] ^= cols[c]
-    elif g.kind is GateKind.TOFFOLI:
+    elif kind is _TOFFOLI:
         c1, c2, t = g.qubits
         cols[t] ^= cols[c1] & cols[c2]
     else:
@@ -217,12 +210,17 @@ def product_front_batch(c: Circuit, shots: int,
     thresholding one 53-bit uniform variate per qubit per shot.
     Diagonal gates only dress basis states with phases, so they are
     ignored; the classical gates act on the drawn bits.
+
+    Raises:
+        CapacityError: if the width, or shots times the width's draws,
+        is past the index range.
     """
     bad = _first_outside(c.gates, _CLASSICAL_OR_DIAGONAL)
     if bad is not None:
         raise ClassificationError(
             f"gate {bad.kind.value} is neither classical nor diagonal")
     _check_width(c.n_qubits)
+    _check_batch(shots, c.n_qubits, itemsize=8)  # one float64 draw per qubit per shot
     p_one = _p_one(c)
     xs = (rng.random((shots, len(p_one))) < p_one).astype(np.uint8)
     return eval_classical_batch(classical_part(c), xs)[:, list(c.measured)]

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 from . import gf2
 from .affine import AffineForm, bit_rows, check_clifford_width, run_clifford
-from .circuit import Circuit, CircuitClass, Gate, GateKind, _gate, classify
+from .circuit import (Circuit, CircuitClass, Gate, GateKind, _CNOT, _CZ, _H, _P, _PDG, _SWAP,
+                      _X, _Z, _gate, classify)
 from .errors import ClassificationError, InvariantError
 
 
@@ -70,35 +71,35 @@ class _PauliStack:
         """
         x, z = self.x, self.z
         a = qs[0]
-        if kind is GateKind.H:
+        if kind is _H:
             self.hi ^= x[a] & z[a]
             x[a], z[a] = z[a], x[a]
-        elif kind is GateKind.P:
+        elif kind is _P:
             # e += x_a: the carry out of lo goes to hi.
             xa = x[a]
             self.hi ^= self.lo & xa
             self.lo ^= xa
             z[a] ^= xa
-        elif kind is GateKind.PDG:
+        elif kind is _PDG:
             # e -= x_a: the borrow out of lo goes to hi.
             xa = x[a]
             self.hi ^= xa & ~self.lo
             self.lo ^= xa
             z[a] ^= xa
-        elif kind is GateKind.X:
+        elif kind is _X:
             self.hi ^= z[a]
-        elif kind is GateKind.Z:
+        elif kind is _Z:
             self.hi ^= x[a]
-        elif kind is GateKind.CNOT:
+        elif kind is _CNOT:
             t = qs[1]
             x[t] ^= x[a]
             z[a] ^= z[t]
-        elif kind is GateKind.CZ:
+        elif kind is _CZ:
             b = qs[1]
             self.hi ^= x[a] & x[b]
             z[a] ^= x[b]
             z[b] ^= x[a]
-        elif kind is GateKind.SWAP:
+        elif kind is _SWAP:
             b = qs[1]
             x[a], x[b] = x[b], x[a]
             z[a], z[b] = z[b], z[a]
@@ -176,7 +177,7 @@ class NormalFormState:
 
 def _h_layer(hadamard_set) -> tuple[Gate, ...]:
     """H gates on ``hadamard_set``; ``operator.index`` keeps ``gate()``'s check."""
-    return tuple(_gate(GateKind.H, (operator.index(k),)) for k in hadamard_set)
+    return tuple(_gate(_H, (operator.index(k),)) for k in hadamard_set)
 
 
 def _complete_to_invertible(r: list[int], m: int) -> list[int]:
@@ -200,7 +201,7 @@ def _complete_to_invertible(r: list[int], m: int) -> list[int]:
 
 def _cnot_synthesis(e: list[int]) -> list[Gate]:
     """CNOT gates realizing the ket map |z> -> |e z>, e given by its int rows."""
-    return [_gate(GateKind.CNOT, (src, tgt))
+    return [_gate(_CNOT, (src, tgt))
             for tgt, src in gf2.decompose_rows(e)]
 
 
@@ -212,15 +213,15 @@ def _diagonal_gates(d: int, cross: list[int], lin_z: int) -> list[Gate]:
     corrections cancel the (-1) carries between pairs of P'd qubits:
     i^a i^b = (-1)^(ab) i^(a XOR b).
     """
-    gates = [_gate(GateKind.P, (k,)) for k in _set_bits(d)]
+    gates = [_gate(_P, (k,)) for k in _set_bits(d)]
     gates += _upper_cz([row ^ d if d >> i & 1 else row for i, row in enumerate(cross)])
-    gates += [_gate(GateKind.Z, (k,)) for k in _set_bits(lin_z)]
+    gates += [_gate(_Z, (k,)) for k in _set_bits(lin_z)]
     return gates
 
 
 def _upper_cz(rows: list[int]) -> list[Gate]:
     """CZ(i, j) for each bit j > i of row i, in row-major order."""
-    return [_gate(GateKind.CZ, (i, j)) for i, row in enumerate(rows)
+    return [_gate(_CZ, (i, j)) for i, row in enumerate(rows)
             for j in _set_bits(row >> (i + 1) << (i + 1))]
 
 
@@ -251,7 +252,7 @@ def synthesize_state_prep(s: AffineForm) -> NormalFormState:
     r = _param_order(rows, m)
 
     linear = _cnot_synthesis(_complete_to_invertible(r, m))
-    linear += [_gate(GateKind.X, (k,)) for k in _set_bits(t)]
+    linear += [_gate(_X, (k,)) for k in _set_bits(t)]
 
     # K's rows over the ket bits, indexed like the form's parameter bits.
     left = gf2.reducer_rows(r, m)[:m][::-1]
@@ -318,9 +319,9 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
     st = _generator_stack(c)
     # M2^dagger: CNOT, X, Z and CZ are involutions, and P inverts as PDG.
     for g in reversed(m2):
-        st.apply(GateKind.PDG if g.kind is GateKind.P else g.kind, g.qubits)
+        st.apply(_PDG if g.kind is _P else g.kind, g.qubits)
     for k in nf.hadamard_set:
-        st.apply(GateKind.H, (k,))
+        st.apply(_H, (k,))
 
     # The ket map's row a is qubit a's x column.
     try:
@@ -329,8 +330,8 @@ def decompose_operator(c: Circuit) -> OperatorNormalForm:
         raise InvariantError("extracted ket map must be invertible") from None
 
     m1: list[Gate] = []
-    m1 += [_gate(GateKind.P, (i,)) for i in _set_bits(st.lo)]
-    m1 += [_gate(GateKind.Z, (i,)) for i in _set_bits(st.hi)]
+    m1 += [_gate(_P, (i,)) for i in _set_bits(st.lo)]
+    m1 += [_gate(_Z, (i,)) for i in _set_bits(st.hi)]
     # CZ (i, j), i < j, where zpart_i . xpart_j = 1: row i of Z X^T is the
     # XOR of the x columns of the qubits in zpart_i.
     zx = [0] * c.n_qubits

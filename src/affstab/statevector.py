@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import (Circuit, Gate, _CNOT, _CZ, _CZROT, _H, _P, _PDG, _SWAP, _TOFFOLI, _X, _Z,
+                      _ZROT)
 from .errors import CapacityError, InvariantError
 
 MAX_QUBITS = 14
@@ -45,33 +46,33 @@ def _apply_gate_tensor(state: np.ndarray, g: Gate) -> None:
     nd = state.ndim
     k = g.qubits
     kind = g.kind
-    if kind is GateKind.H:
+    if kind is _H:
         s0 = state[_slices(nd, k, (0,))].copy()
         s1 = state[_slices(nd, k, (1,))].copy()
         inv = 1.0 / math.sqrt(2.0)
         state[_slices(nd, k, (0,))] = (s0 + s1) * inv
         state[_slices(nd, k, (1,))] = (s0 - s1) * inv
-    elif kind is GateKind.P:
+    elif kind is _P:
         state[_slices(nd, k, (1,))] *= 1j
-    elif kind is GateKind.PDG:
+    elif kind is _PDG:
         state[_slices(nd, k, (1,))] *= -1j
-    elif kind is GateKind.X:
+    elif kind is _X:
         i0, i1 = _slices(nd, k, (0,)), _slices(nd, k, (1,))
         state[i0], state[i1] = state[i1].copy(), state[i0].copy()
-    elif kind is GateKind.Z:
+    elif kind is _Z:
         state[_slices(nd, k, (1,))] *= -1.0
-    elif kind is GateKind.CNOT:
+    elif kind is _CNOT:
         i0, i1 = _slices(nd, k, (1, 0)), _slices(nd, k, (1, 1))
         state[i0], state[i1] = state[i1].copy(), state[i0].copy()
-    elif kind is GateKind.CZ:
+    elif kind is _CZ:
         state[_slices(nd, k, (1, 1))] *= -1.0
-    elif kind is GateKind.SWAP:
+    elif kind is _SWAP:
         i0, i1 = _slices(nd, k, (0, 1)), _slices(nd, k, (1, 0))
         state[i0], state[i1] = state[i1].copy(), state[i0].copy()
-    elif kind is GateKind.TOFFOLI:
+    elif kind is _TOFFOLI:
         i0, i1 = _slices(nd, k, (1, 1, 0)), _slices(nd, k, (1, 1, 1))
         state[i0], state[i1] = state[i1].copy(), state[i0].copy()
-    elif kind is GateKind.ZROT or kind is GateKind.CZROT:
+    elif kind is _ZROT or kind is _CZROT:
         state[_slices(nd, k, (1,) * len(k))] *= _phase(*g.angle)
     else:  # pragma: no cover
         raise ValueError(f"unsupported gate kind {kind}")

@@ -87,6 +87,23 @@ def random_text_circuit(rng: np.random.Generator) -> Circuit:
     return Circuit(n, gates, prep, measured)
 
 
+def reference_emit(n: int, prep, sections, measured) -> str:
+    """The circuit-text writer with an f-string, ``map(str)`` and ``join``
+    per line: the reference for ``circuit._emit``'s format strings."""
+    lines = [f"qubits {n}"]
+    if prep is not None:
+        lines += [f"prep {q} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}"
+                  for q, (a, b) in enumerate(prep)]
+    for label, gates in sections:
+        if label is not None:
+            lines.append(f"# {label}")
+        for kind, qubits, angle in gates:
+            line = f"{kind.value} {' '.join(map(str, qubits))}"
+            lines.append(line if angle is None else f"{line} {angle[0]} {angle[1]}")
+    lines.append(f"measure {' '.join(map(str, measured))}\n")
+    return "\n".join(lines)
+
+
 def random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniformly random invertible GF(2) matrix, by rejection."""
     while True:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from affstab import (Circuit, CircuitClass, Gate, GateKind, ParseError, classify,
                      emit, gate, parse)
-from affstab.circuit import ANGLED, ARITY, basic_clifford_gates
+from affstab.circuit import ANGLED, ARITY, _emit, basic_clifford_gates
 from affstab.statevector import run_statevector
-from helpers import random_text_circuit
+from helpers import random_prep, random_text_circuit, reference_emit
 
 
 def test_parse_basic():
@@ -139,6 +139,114 @@ def test_parse_equals_a_checked_reference(text):
     assert all(type(g) is Gate and all(type(q) is int for q in g.qubits) for g in c.gates)
 
 
+_NOT_INTS = ["x", "1.5", "0x1", "1e3", "--1", "0b1", "one", "\u00bd"]
+
+
+def _reference_gate_error(verb: str, args: list[str], n: int) -> str:
+    """The message for a gate line that breaks a rule: the five rules in
+    order (argument count, integers, range, distinct qubits, positive
+    denominator), each reporting the first token that breaks it."""
+    kind = GateKind(verb)
+    arity, want = ARITY[kind], ARITY[kind] + 2 * (kind in ANGLED)
+    if len(args) != want:
+        return f"'{verb}' takes {want} argument(s)"
+    nums = []
+    for tok in args:
+        try:
+            nums.append(int(tok))
+        except ValueError:
+            return f"'{verb}': expected integer, got '{tok}'"
+    for q in nums[:arity]:
+        if not 0 <= q < n:
+            return f"qubit index {q} out of range for {n} qubits"
+    if len(set(nums[:arity])) != arity:
+        return f"duplicate qubit in '{verb}'"
+    if kind in ANGLED and nums[-1] <= 0:
+        return "angle denominator must be positive"
+    raise AssertionError(f"'{verb} {' '.join(args)}' breaks no rule")
+
+
+@st.composite
+def _files_with_a_bad_gate_line(draw):
+    """A valid file whose k-th line is a gate line made to break one or
+    more rules, and the reference's message for that line."""
+    n = draw(st.integers(1, 5))
+    lines = [f"QUBITS\t{n}" if draw(st.booleans()) else f"qubits {n}"]
+    if draw(st.booleans()):
+        lines.append("prep 0 0.6 0.0 0.0 -0.8  # not |0>")
+    pool = draw(st.lists(_gate_lines(n), min_size=1, max_size=4))
+    lines += [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))]
+
+    kind = draw(st.sampled_from(list(GateKind)))
+    arity = ARITY[kind]
+    args = [str(draw(st.integers(0, n - 1))) for _ in range(arity)]
+    if kind in ANGLED:
+        args += [str(draw(st.integers(-9, 9))), str(draw(st.integers(1, 9)))]
+    faults = draw(st.lists(st.sampled_from(["int", "range", "duplicate", "denominator",
+                                            "count"]), min_size=1, max_size=3))
+    # A fault the kind cannot have is a wrong count; the count changes
+    # once, after the others, so they find the tokens they change.
+    faults = {f if (f != "duplicate" or arity > 1) and (f != "denominator" or kind in ANGLED)
+              else "count" for f in faults}
+    for fault in draw(st.permutations(sorted(faults - {"count"}))) + sorted(faults & {"count"}):
+        if fault == "range":
+            args[draw(st.integers(0, arity - 1))] = str(draw(st.sampled_from([-1, n])))
+        elif fault == "duplicate":
+            i, j = draw(st.permutations(range(arity)))[:2]
+            args[j] = args[i]
+        elif fault == "denominator":
+            args[-1] = str(draw(st.integers(-3, 0)))
+        elif fault == "int":
+            args[draw(st.integers(0, len(args) - 1))] = draw(st.sampled_from(_NOT_INTS))
+        elif draw(st.booleans()):
+            args.pop(draw(st.integers(0, len(args) - 1)))
+        else:
+            args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(["0", "x"])))
+    mnemonic = "".join(draw(st.sampled_from([ch, ch.upper()])) for ch in kind.value)
+    sep = draw(st.sampled_from([" ", "\t", " \t "]))
+    comment = draw(st.sampled_from(["", "# note", "\t#h 0", " #"]))
+    lines.append(sep.join([mnemonic] + args) + comment)
+    line = len(lines)
+    lines += [draw(st.sampled_from(pool)), "measure 0"]
+    return "\n".join(lines), line, _reference_gate_error(kind.value, args, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_files_with_a_bad_gate_line())
+def test_parse_reports_the_first_broken_rule_of_a_gate_line(case):
+    text, line, message = case
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_parse_gate_line_errors_by_rule():
+    # One line per rule, and lines breaking several: the first rule wins.
+    cases = [
+        ("toffoli 0 1", "'toffoli' takes 3 argument(s)"),
+        ("czrot 0 x 1 0", "'czrot': expected integer, got 'x'"),
+        ("Cz 1 1.0", "'cz': expected integer, got '1.0'"),
+        ("zrot 3 1 0", "qubit index 3 out of range for 3 qubits"),
+        ("toffoli 1 -1 5", "qubit index -1 out of range for 3 qubits"),
+        ("toffoli 2 0 2", "duplicate qubit in 'toffoli'"),
+        ("toffoli 1 1 2", "duplicate qubit in 'toffoli'"),
+        ("TOFFOLI 0 2 2", "duplicate qubit in 'toffoli'"),
+        ("czrot 1 1 1 0", "duplicate qubit in 'czrot'"),
+        ("czrot 0 1 1 -4\t# a comment", "angle denominator must be positive"),
+        ("h\t+2", None),  # int() reads a sign
+        ("swap 1_0 0", "qubit index 10 out of range for 3 qubits"),
+    ]
+    for body, message in cases:
+        text = f"qubits 3\nh 0\ncnot 0 1\nh 0\n{body}\nmeasure 0\n"
+        if message is None:
+            parse(text)
+            continue
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line 5: {message}", body
+
+
 def test_parse_shares_one_gate_per_repeated_line():
     c = parse("qubits 3\nh 0\ncnot 0 1\nh 0\nswap 1 2\ncnot 0 1\nswap 1 2\n")
     h, cnot, h2, swap, cnot2, swap2 = c.gates
@@ -173,6 +281,42 @@ def test_parse_emit_round_trip_random():
     for _ in range(500):
         c = random_text_circuit(rng)
         assert parse(emit(c)) == c
+
+
+_ANGLE_NUMS = st.one_of(st.integers(-9, 9), st.integers(-(2 ** 70), 2 ** 70),
+                       st.sampled_from([2 ** 63, 2 ** 63 + 1, -(2 ** 63) - 1, 2 ** 64]))
+
+
+@st.composite
+def _circuits_of_every_kind(draw):
+    n = draw(st.integers(3, 6))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(list(GateKind)), max_size=30)):
+        qubits = tuple(draw(st.permutations(range(n)))[:ARITY[kind]])
+        angle = None
+        if kind in ANGLED:
+            angle = (draw(_ANGLE_NUMS), draw(st.integers(1, 2 ** 70)))
+        gates.append(Gate(kind, qubits, angle))
+    prep = None
+    if draw(st.booleans()):
+        prep = random_prep(np.random.default_rng(draw(st.integers(0, 99))), n)
+    measured = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    return Circuit(n, tuple(gates), prep, measured)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuits_of_every_kind(), st.data())
+def test_emit_matches_the_reference_writer(c, data):
+    assert emit(c) == reference_emit(c.n_qubits, c.prep, ((None, c.gates),), c.measured)
+    assert parse(emit(c)) == c
+    # Labelled sections, as the CLI writes its normal forms.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(c.gates)), max_size=3)))
+    bounds = [0, *cuts, len(c.gates)]
+    sections = tuple((data.draw(st.sampled_from([None, "round 1", "M2", "H"])),
+                      c.gates[i:j]) for i, j in zip(bounds, bounds[1:]))
+    for prep in (None, c.prep):
+        assert _emit(c.n_qubits, prep, sections, c.measured) == reference_emit(
+            c.n_qubits, prep, sections, c.measured)
 
 
 def test_prep_round_trip_keeps_exact_floats():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from affstab import Circuit, Gate, GateKind, emit, parse
+from affstab import CapacityError, Circuit, CircuitClass, Gate, GateKind, classify, emit, parse
 from affstab.affine import MAX_CLIFFORD_QUBITS
 from affstab.cli import run_command
 from helpers import (random_clifford_circuit, random_gate, random_ht_circuit,
@@ -381,6 +381,38 @@ def test_ht_sample_past_the_index_range_is_capacity(tmp_path):
     assert run(["sample", ht, "--shots", "10"])[2] == (
         f"capacity exceeded: 10 shots of {10 ** 18} qubits need {10 ** 19} bits; "
         f"the limit is {sys.maxsize}\n")
+
+
+def test_sample_batch_past_the_index_range_is_capacity(tmp_path):
+    # Every sampler checks its (shots, width) arrays before it draws:
+    # numpy refused the Clifford and product-front shapes as bad sizes,
+    # which read as bad input (exit 1).  The product-front draws are
+    # float64, so 2^60 shots of 4 qubits are past it too.
+    files = {"bell.cq": ("qubits 2\nh 0\ncnot 0 1\nmeasure 0 1\n", CircuitClass.CLIFFORD_ONLY),
+             "h4.cq": ("qubits 4\nh 0\nh 1\nh 2\nh 3\nmeasure 0 1 2 3\n",
+                       CircuitClass.CLIFFORD_ONLY),
+             "prep.cq": ("qubits 4\nprep 0 0.6 0 0.8 0\nprep 3 0 0 1 0\ncnot 0 1\nzrot 2 1 4\n"
+                         "measure 0 1 2 3\n", CircuitClass.PRODUCT_FRONT_CLASSICAL_DIAGONAL),
+             "ht.cq": ("qubits 4\nh 0\nh 1\ntoffoli 0 1 2\nmeasure 0 1 2 3\n",
+                       CircuitClass.HT_FORM)}
+    for name, (text, tag) in files.items():
+        assert classify(parse(text)) is tag, name
+        path = circuit_file(tmp_path, name, text)
+        shot_counts = [10 ** 20, 2 ** 62] + [2 ** 60] * (name == "prep.cq")
+        for shots in shot_counts:
+            status, out, err = run(["sample", path, "--shots", str(shots)])
+            assert (status, out) == (2, ""), (name, shots, err)
+            assert err.startswith(f"capacity exceeded: {shots} shots of "), err
+    assert run(["sample", circuit_file(tmp_path, "bell.cq", files["bell.cq"][0]),
+                "--shots", str(2 ** 62)])[2] == (
+        f"capacity exceeded: {2 ** 62} shots of 2 qubits need {2 ** 63} bits; "
+        f"the limit is {sys.maxsize}\n")
+    # A form with no parameters, sampled on no qubits, still has one
+    # row per shot.
+    from affstab import affine, measure
+    with pytest.raises(CapacityError):
+        measure.weak_sample_many(affine.run_clifford(parse("qubits 1\nx 0\n")), [], 10 ** 20,
+                                 np.random.default_rng(0))
 
 
 def test_verify_reduces_angles_past_float_range(tmp_path):
