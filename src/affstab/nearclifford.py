@@ -6,6 +6,22 @@ uniformly and pushing them through the classical function; their exact
 output probabilities are #P-hard in general, so strong simulation is a
 capped brute-force count over the 2^m Hadamard assignments.
 
+Both HT routes run only the measured qubits' backward light cone
+(``_cone``).  A classical gate changes only the qubit it writes (its
+target; either qubit of a SWAP), so walking back from the end, a gate
+is kept iff it writes a live qubit, and a kept gate's qubits become
+live.  The count enumerates only the m' Hadamard qubits inside the cone
+and shifts its numerator left by m - m', since each of their
+assignments extends to 2^(m-m') of all m; ``CountResult.m``, the width
+cap and the check order stay on the full m.
+
+The count and the samplers share one copy of the X/CNOT/TOFFOLI/SWAP
+rules (``_run_classical``), over one int per qubit.  An X is a
+per-qubit complement bit rather than a pass over the int: a CNOT XORs
+the control's bit into the target's, a SWAP swaps them, a Toffoli
+applies and clears a set bit on each control first, and the count's
+match and the samplers apply the bits to the qubits they read.
+
 Product-front circuits (an arbitrary product-state preparation, then
 classical and diagonal gates) are sampled the same way with the input
 bits drawn from the per-qubit |1>-probabilities; the diagonal gates
@@ -23,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from . import gf2, measure
 from .circuit import (CLASSICAL_KINDS, Circuit, Gate, _CLASSICAL_OR_DIAGONAL, _CNOT, _TOFFOLI,
-                      _X, _check_batch, _check_width, _first_outside, _h_prefix)
+                      _SWAP, _X, _check_batch, _check_width, _first_outside, _h_prefix)
 from .errors import CapacityError, ClassificationError
 from .statevector import normalized_prep
 
@@ -79,26 +96,74 @@ class CountResult:
 def eval_classical_batch(f: ClassicalFunction, xs: np.ndarray) -> np.ndarray:
     """Apply the gate list to every row of a (shots, n) bit matrix."""
     cols, ones = gf2.ints(xs.T), (1 << len(xs)) - 1
-    for g in f.gates:
-        _apply_classical(cols, g, ones)
+    for q in _run_classical(cols, f.gates, ones):
+        cols[q] ^= ones
     return np.ascontiguousarray(gf2.bit_matrix(cols, len(xs)).T)
 
 
-def _apply_classical(cols: list[int], g: Gate, ones: int) -> None:
-    # One int per qubit, bit j its value in column j (a shot of the
-    # batch or an assignment of the count); ``ones`` sets every column.
-    kind = g.kind
-    if kind is _X:
-        cols[g.qubits[0]] ^= ones
-    elif kind is _CNOT:
-        c, t = g.qubits
-        cols[t] ^= cols[c]
-    elif kind is _TOFFOLI:
-        c1, c2, t = g.qubits
-        cols[t] ^= cols[c1] & cols[c2]
-    else:
-        a, b = g.qubits
-        cols[a], cols[b] = cols[b], cols[a]
+def _run_classical(cols, gates, ones: int) -> set[int]:
+    """Run X/CNOT/TOFFOLI/SWAP gates on ``cols`` in place; return the
+    qubits whose value is the complement of their int (see the module
+    docstring), for the caller to apply to the ints it reads.
+
+    ``cols`` holds one int per qubit (a list, or a dict over the qubits
+    the gates touch), bit j its value in column j (a shot of a batch or
+    an assignment of the count); ``ones`` sets every column.  A Toffoli
+    applies its controls' complement bits first because its AND needs
+    their true values.
+    """
+    flips: set[int] = set()
+    for kind, qubits, _ in gates:
+        if kind is _CNOT:
+            c, t = qubits
+            cols[t] ^= cols[c]
+            if c in flips:
+                flips ^= {t}
+        elif kind is _X:
+            flips ^= {qubits[0]}
+        elif kind is _TOFFOLI:
+            c1, c2, t = qubits
+            if c1 in flips:
+                cols[c1] ^= ones
+                flips.discard(c1)
+            if c2 in flips:
+                cols[c2] ^= ones
+                flips.discard(c2)
+            cols[t] ^= cols[c1] & cols[c2]
+        else:
+            a, b = qubits
+            cols[a], cols[b] = cols[b], cols[a]
+            if (a in flips) != (b in flips):
+                flips ^= {a, b}
+    return flips
+
+
+def _cone(gates: tuple[Gate, ...], n: int, measured) -> tuple[Sequence[Gate], set[int]]:
+    """The gates that can change the ``measured`` qubits, and the qubits
+    they read: the backward light cone of a classical suffix.
+
+    Walking back from the end, a gate is kept iff it writes a live qubit
+    (its target; either qubit of a SWAP), and a kept gate's qubits become
+    live.  A classical gate changes only what it writes, so the dropped
+    gates leave the live qubits' final values as they are.  Once every
+    qubit is live, every earlier gate is kept; with every qubit measured
+    there is no walk.  Nothing here is O(n): the live set holds only the
+    measured qubits and those of the kept gates.
+    """
+    live = set(measured)
+    if len(live) == n:
+        return gates, live
+    kept, i = [], len(gates)
+    for kind, qubits, _ in reversed(gates):
+        i -= 1
+        if qubits[-1] in live or kind is _SWAP and qubits[0] in live:
+            kept.append(gates[i])
+            live.update(qubits)
+            if len(live) == n:
+                kept.extend(reversed(gates[:i]))
+                break
+    kept.reverse()
+    return kept, live
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +205,14 @@ def ht_sample_batch(c: Circuit, shots: int,
                     rng: np.random.Generator) -> np.ndarray:
     """(shots, |measured|) outcome bits of an HT circuit.
 
-    The Hadamard bits are drawn uniformly, every other input bit is 0.
+    The Hadamard bits are drawn uniformly, one (shots, m) uint8 draw,
+    into a (shots, n) input matrix whose other bits are 0.  Only the
+    measured qubits' cone (``_cone``) runs, on the matrix columns of its
+    qubits.  The matrix is allocated zeroed and only the draw's columns
+    are written, so the pages nothing writes cost no memory: time and
+    resident memory follow the draw and the cone, not the declared
+    width, while a matrix past what the machine can map still ends in
+    numpy's ``MemoryError``, as it did when every column was packed.
 
     Raises:
         CapacityError: if the width, or shots times the width, is past
@@ -152,7 +224,13 @@ def ht_sample_batch(c: Circuit, shots: int,
     if positions:
         xs[:, positions] = rng.integers(0, 2, size=(shots, len(positions)),
                                         dtype=np.uint8)
-    return eval_classical_batch(f, xs)[:, list(c.measured)]
+    gates, live = _cone(f.gates, c.n_qubits, c.measured)
+    qubits = list(live)
+    cols = dict(zip(qubits, gf2.ints(xs[:, qubits].T)))
+    ones = (1 << shots) - 1
+    flips = _run_classical(cols, gates, ones)
+    out = [cols[q] ^ ones if q in flips else cols[q] for q in c.measured]
+    return np.ascontiguousarray(gf2.bit_matrix(out, shots).T)
 
 
 def ht_strong_count(c: Circuit, subset, alpha,
@@ -161,8 +239,11 @@ def ht_strong_count(c: Circuit, subset, alpha,
 
     Counts the Hadamard assignments whose image matches ``alpha`` on
     ``subset``; the answer is numerator / 2^m with m the Hadamard
-    count.  Each qubit is one int, assignment i at bit i: the samplers'
-    bit rows with assignments for shots, run through the same rules.
+    count.  Only the subset's cone (``_cone``) runs: it reads m' <= m
+    Hadamard qubits, and each assignment of those extends to 2^(m-m')
+    of all m, so the count over the m' is shifted left by m - m'.  Each
+    cone qubit is one int, assignment i at bit i: the samplers' bit
+    rows with assignments for shots, run through the same rules.
 
     Raises:
         ValueError: if ``width_limit`` is negative, or the query fails
@@ -171,7 +252,7 @@ def ht_strong_count(c: Circuit, subset, alpha,
         (it may only lower the cap), the width is past the index range,
         or m exceeds ``width_limit``;
         exact probabilities for wide Hadamard layers are #P-hard, so
-        the wall is enforced rather than crossed.
+        the wall is enforced on the full m rather than crossed.
     """
     if width_limit < 0:
         raise ValueError(f"width limit {width_limit} is negative")
@@ -186,16 +267,19 @@ def ht_strong_count(c: Circuit, subset, alpha,
         raise CapacityError(
             f"strong HT simulation needs 2^{m} enumerations; "
             f"limit is 2^{width_limit}")
-    full = (1 << (1 << m)) - 1
+    gates, live = _cone(f.gates, c.n_qubits, subset)
+    inside = [q for q in positions if q in live]
+    full = (1 << (1 << len(inside))) - 1
+    # One entry per qubit, as before the cone: at a width no list can
+    # hold, this is what refuses the query (MemoryError, exit 2).
     values = [0] * c.n_qubits
-    for q, col in zip(positions, gf2.counting_columns(m)):
+    for q, col in zip(inside, gf2.counting_columns(len(inside))):
         values[q] = col
-    for g in f.gates:
-        _apply_classical(values, g, full)
+    flips = _run_classical(values, gates, full)
     match = full
     for q, bit in zip(subset, alpha):
-        match &= values[q] if bit else values[q] ^ full
-    return CountResult(match.bit_count(), m)
+        match &= values[q] if bit ^ (q in flips) else values[q] ^ full
+    return CountResult(match.bit_count() << (m - len(inside)), m)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from affstab import Circuit, Gate, GateKind, LinForm, QuadForm, gate, gf2
@@ -447,3 +449,58 @@ def reference_enumerate_support(s, subset, cap: int) -> list:
     ups = (np.arange(2 ** rank)[:, None] >> np.arange(rank - 1, -1, -1)) & 1
     outs = gf2.mat_mul(ups ^ t_s[pivots], rref[:rank]) ^ t_s
     return [(Outcome(subset, tuple(bits)), prob) for bits in outs.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# Full-pass HT references: every classical gate on every qubit, one input
+# at a time, with X a flip of its bit.  The references for the cone and
+# the complement bits of ``nearclifford``'s count and sampler.
+
+
+def _reference_ht_split(c: Circuit) -> tuple[list[int], list[Gate]]:
+    """The qubits with an odd number of prefix Hadamards, and the rest."""
+    i, odd = 0, set()
+    while i < len(c.gates) and c.gates[i].kind is GateKind.H:
+        odd ^= {c.gates[i].qubits[0]}
+        i += 1
+    return sorted(odd), list(c.gates[i:])
+
+
+def _reference_classical(x: int, gates: list[Gate]) -> int:
+    """The classical gates applied to one basis state, bit q of ``x`` qubit q."""
+    for g in gates:
+        q = g.qubits
+        if g.kind is GateKind.X:
+            x ^= 1 << q[0]
+        elif g.kind is GateKind.CNOT:
+            x ^= (x >> q[0] & 1) << q[1]
+        elif g.kind is GateKind.TOFFOLI:
+            x ^= (x >> q[0] & x >> q[1] & 1) << q[2]
+        elif g.kind is GateKind.SWAP:
+            if (x >> q[0] ^ x >> q[1]) & 1:
+                x ^= 1 << q[0] | 1 << q[1]
+        else:
+            raise ValueError(f"not a classical gate: {g.kind.value}")
+    return x
+
+
+def reference_ht_count(c: Circuit, subset, alpha) -> Fraction:
+    """P(alpha on subset) of an HT circuit over all 2^m Hadamard assignments."""
+    positions, gates = _reference_ht_split(c)
+    hits = 0
+    for a in range(1 << len(positions)):
+        x = _reference_classical(sum((a >> i & 1) << q for i, q in enumerate(positions)),
+                                 gates)
+        hits += all((x >> q & 1) == b for q, b in zip(subset, alpha))
+    return Fraction(hits, 1 << len(positions))
+
+
+def reference_ht_sample(c: Circuit, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """(shots, |measured|) uint8 rows from the sampler's (shots, m) uint8 draw."""
+    positions, gates = _reference_ht_split(c)
+    draw = rng.integers(0, 2, size=(shots, len(positions)), dtype=np.uint8)
+    rows = np.zeros((shots, len(c.measured)), dtype=np.uint8)
+    for s in range(shots):
+        x = _reference_classical(sum(int(b) << q for b, q in zip(draw[s], positions)), gates)
+        rows[s] = [x >> q & 1 for q in c.measured]
+    return rows

@@ -66,6 +66,17 @@ def test_prob_ht_capacity(tmp_path):
     assert status == 2 and "capacity" in err
 
 
+def test_prob_ht_limit_stays_on_the_full_hadamard_count(tmp_path):
+    # The cone of qubit 4 reads 2 of the 4 Hadamards; the cap is on all 4.
+    path = circuit_file(tmp_path, "ht4.cq",
+                        "qubits 5\nh 0\nh 1\nh 2\nh 3\ntoffoli 0 1 4\nmeasure 4\n")
+    for limit in ("2", "3"):
+        status, out, err = run(["prob", path, "--outcome", "1", "--limit", limit])
+        assert (status, out) == (2, "") and err == (
+            f"capacity exceeded: strong HT simulation needs 2^4 enumerations; limit is 2^{limit}\n")
+    assert run(["prob", path, "--outcome", "1", "--limit", "4"]) == (0, "1/4\n", "")
+
+
 def test_prob_refuses_product_front(tmp_path):
     path = circuit_file(tmp_path, "pf.cq", PRODUCT)
     status, _, err = run(["prob", path, "--outcome", "1"])
@@ -381,6 +392,36 @@ def test_ht_sample_past_the_index_range_is_capacity(tmp_path):
     assert run(["sample", ht, "--shots", "10"])[2] == (
         f"capacity exceeded: 10 shots of {10 ** 18} qubits need {10 ** 19} bits; "
         f"the limit is {sys.maxsize}\n")
+
+
+@pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
+def test_ht_sample_memory_follows_the_cone_not_the_width(tmp_path, n):
+    # A Toffoli of two Hadamard qubits onto the last of n qubits.  Only
+    # the cone's three columns are evaluated, so the run fits in 64 MB of
+    # address space above what the child holds after its imports; packing
+    # all n columns as ints needed far more at both widths.  The limit
+    # is set in the child only.
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm to read the child's address space")
+    wide = circuit_file(tmp_path, "wide.cq", f"qubits {n}\nh 0\nh 1\ntoffoli 0 1 {n - 1}\n"
+                                             f"measure {n - 1}\n")
+    narrow = circuit_file(tmp_path, "narrow.cq", HT)
+    code = ("import resource, sys\n"
+            "from affstab.cli import run_command\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    vm = int(fh.read().split()[0]) * resource.getpagesize()\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = vm + (64 << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY"
+            " else min(soft, hard), hard))\n"
+            f"sys.exit(run_command(['sample', {wide!r}, '--shots', '2', '--seed', '5']))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    # The same draws (Hadamards on 0 and 1) give the same rows at n = 3.
+    assert done.stdout == run(["sample", narrow, "--shots", "2", "--seed", "5"])[1]
 
 
 def test_sample_batch_past_the_index_range_is_capacity(tmp_path):

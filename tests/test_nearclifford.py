@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affstab import (CapacityError, Circuit, GateKind, gate, parse,
                      run_clifford, strong_prob, weak_sample_many)
 from affstab.errors import ClassificationError
-from affstab.circuit import CLASSICAL_KINDS
-from affstab.nearclifford import (ClassicalFunction, _split_ht, classical_part,
+from affstab.circuit import ARITY, CLASSICAL_KINDS
+from affstab.nearclifford import (ClassicalFunction, _cone, _split_ht, classical_part,
                                   eval_classical_batch, ht_sample_batch,
                                   ht_strong_count, product_front_batch)
 from affstab.statevector import distribution, run_statevector, total_variation
 from helpers import (BAD_QUERIES, BELL_X, CLASSICAL, random_gate,
-                     random_ht_circuit, random_product_front_circuit)
+                     random_ht_circuit, random_product_front_circuit,
+                     reference_ht_count, reference_ht_sample)
 
 
 def test_eval_classical_examples():
@@ -384,11 +387,64 @@ def test_ht_strong_count_at_default_width_is_fast():
     gates = [gate(GateKind.H, k) for k in range(24)]
     gates += [gate(GateKind.CNOT, k, k + 1) for k in range(3, 23)]
     gates += [gate(GateKind.TOFFOLI, 0, 1, 24), gate(GateKind.TOFFOLI, 2, 24, 25)]
-    c = Circuit(26, tuple(gates), None, (25,))
-    start = time.perf_counter()
-    res = ht_strong_count(c, [25], [1])
-    assert time.perf_counter() - start < 10
-    assert res.m == 24 and res.as_fraction() == Fraction(1, 8)
+    # Measuring 25 alone, the cone holds the Hadamards of 0, 1 and 2;
+    # with 23 too, the CNOT chain brings in all 24, so the 2^24-bit
+    # count runs (x3 + ... + x23 is a fair bit independent of 25).
+    for measured, alpha, inside, want in (([25], [1], 3, Fraction(1, 8)),
+                                          ([25, 23], [1, 1], 24, Fraction(1, 16))):
+        c = Circuit(26, tuple(gates), None, tuple(measured))
+        positions, f = _split_ht(c)
+        assert sum(q in _cone(f.gates, 26, measured)[1] for q in positions) == inside
+        start = time.perf_counter()
+        res = ht_strong_count(c, measured, alpha)
+        assert time.perf_counter() - start < 10
+        assert res.m == 24 and res.as_fraction() == want
+
+
+HT_KINDS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP)
+
+
+@st.composite
+def ht_queries(draw):
+    """An HT circuit (repeated Hadamards allowed, every classical kind)
+    measuring a subset of any size, and an outcome for it."""
+    n = draw(st.integers(1, 7))
+    gates = [gate(GateKind.H, q) for q in draw(st.lists(st.integers(0, n - 1), max_size=2 * n))]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from([k for k in HT_KINDS if ARITY[k] <= n]))
+        gates.append(gate(kind, *draw(st.permutations(range(n)))[:ARITY[kind]]))
+    measured = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    alpha = draw(st.lists(st.integers(0, 1), min_size=len(measured), max_size=len(measured)))
+    return Circuit(n, tuple(gates), None, tuple(measured)), alpha
+
+
+def _query(text: str, alpha: list[int]):
+    return parse(text), alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(ht_queries(), st.integers(0, 2 ** 32 - 1))
+# The Hadamard of 2 is outside the cone of 1: the count scales by 2.
+@example(_query("qubits 3\nh 0\nh 1\nh 2\ncnot 0 1\nmeasure 1", [1]), 0)
+# The kept Toffoli's controls carry the Hadamards; 3 stays outside.
+@example(_query("qubits 4\nh 0\nh 1\nh 3\ntoffoli 0 1 2\nx 2\nmeasure 2", [0]), 1)
+# SWAPs that write the measured qubit as their first and second qubit.
+@example(_query("qubits 3\nh 0\nx 0\ncnot 0 1\nswap 2 1\nmeasure 2", [0]), 2)
+@example(_query("qubits 3\nh 0\nx 0\ncnot 0 1\nswap 1 2\nmeasure 2", [1]), 2)
+# Every qubit measured: no walk; X on a Toffoli control and a swapped complement.
+@example(_query("qubits 3\nh 0\nh 1\nx 0\nswap 0 2\ntoffoli 2 1 0\nx 1\ncnot 1 2\n"
+                "measure 0 1 2", [1, 0, 1]), 3)
+def test_cone_and_complement_bits_match_the_full_pass(query, seed):
+    # ht_strong_count and ht_sample_batch run only the cone, with X as a
+    # complement bit; the references run every gate on every qubit.
+    c, alpha = query
+    res = ht_strong_count(c, c.measured, alpha)
+    assert res.m == len(_split_ht(c)[0])
+    assert res.as_fraction() == reference_ht_count(c, c.measured, alpha)
+    got = ht_sample_batch(c, 40, np.random.default_rng(seed))
+    want = reference_ht_sample(c, 40, np.random.default_rng(seed))
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 
