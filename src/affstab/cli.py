@@ -176,8 +176,8 @@ def _product_dist_deviation(c, oracle_dist) -> float:
     xs = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
           ).astype(np.uint8)
     weights = np.prod(np.where(xs == 1, p_one, 1.0 - p_one), axis=1)
-    outs = nearclifford.eval_classical_batch(
-        nearclifford.classical_part(c), xs)[:, list(c.measured)]
+    outs = nearclifford._read_batch(n, nearclifford.classical_part(c).gates,
+                                    c.measured, range(n), xs)
     implied: dict[str, float] = {}
     for key, w in zip(measure.format_rows(outs).splitlines(), weights):
         implied[key] = implied.get(key, 0.0) + float(w)

@@ -41,8 +41,11 @@ def bits(seq) -> np.ndarray:
 
 
 def ints(a: np.ndarray) -> list[int]:
-    """The rows of a 2-D bit array as Python ints, column j at bit j."""
-    packed = np.packbits(a, axis=1, bitorder="little")
+    """The rows of a 2-D bit array as Python ints, column j at bit j.
+
+    A transposed view is copied to row order first: ``packbits`` on one
+    took 3-7x as long as the copy and the packing together."""
+    packed = np.packbits(np.ascontiguousarray(a), axis=1, bitorder="little")
     width, raw = packed.shape[1], packed.tobytes()
     return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
             for i in range(packed.shape[0])]

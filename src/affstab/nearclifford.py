@@ -6,7 +6,13 @@ uniformly and pushing them through the classical function; their exact
 output probabilities are #P-hard in general, so strong simulation is a
 capped brute-force count over the 2^m Hadamard assignments.
 
-Both HT routes run only the measured qubits' backward light cone
+Product-front circuits (an arbitrary product-state preparation, then
+classical and diagonal gates) are sampled the same way with the input
+bits drawn from the per-qubit |1>-probabilities; the diagonal gates
+contribute only phases and never touch the outcome distribution, so
+the sampler ignores them outright.
+
+Every route runs only the measured qubits' backward light cone
 (``_cone``).  A classical gate changes only the qubit it writes (its
 target; either qubit of a SWAP), so walking back from the end, a gate
 is kept iff it writes a live qubit, and a kept gate's qubits become
@@ -15,24 +21,26 @@ and shifts its numerator left by m - m', since each of their
 assignments extends to 2^(m-m') of all m; ``CountResult.m``, the width
 cap and the check order stay on the full m.
 
-The count and the samplers share one copy of the X/CNOT/TOFFOLI/SWAP
-rules (``_run_classical``), over one int per qubit.  An X is a
-per-qubit complement bit rather than a pass over the int: a CNOT XORs
-the control's bit into the target's, a SWAP swaps them, a Toffoli
-applies and clears a set bit on each control first, and the count's
-match and the samplers apply the bits to the qubits they read.
+A batch through a classical suffix is evaluated in one place
+(``_read_batch``): the HT and product-front samplers,
+``eval_classical_batch`` and the CLI's product-front check call it.
+It and the count share one copy of the X/CNOT/TOFFOLI/SWAP rules
+(``_run_classical``), over one int per live qubit (``_columns``: a
+list of n when every qubit is live, else a dict over the live qubits).
+An X is a per-qubit complement bit rather than a pass over the int: a
+CNOT XORs the control's bit into the target's, a SWAP swaps them, a
+Toffoli applies and clears a set bit on each control first, and the
+count's match and the reader apply the bits to the qubits they read.
 
-Product-front circuits (an arbitrary product-state preparation, then
-classical and diagonal gates) are sampled the same way with the input
-bits drawn from the per-qubit |1>-probabilities; the diagonal gates
-contribute only phases and never touch the outcome distribution, so
-the sampler ignores them outright.
-
-Both families hold one entry per qubit, so a width past the index range
-is refused with ``CapacityError`` (``circuit._check_width``) before
-anything is allocated, and so is a sampling batch whose shots times
-width is past it (``circuit._check_batch``, which the Clifford sampler
-shares).
+So the HT routes hold nothing per declared qubit: their time and memory
+follow the Hadamard count, the measured qubits and the cone.  A
+product front still draws one variate per qubit per shot, because its
+output stream depends on that draw.  A width past the index range is
+refused with ``CapacityError`` (``circuit._check_width``) before
+anything is allocated, and so is a sampling batch past it
+(``circuit._check_batch``, which the Clifford sampler shares): shots
+times max(m, |S|) bits for HT, shots times n float64 draws for a
+product front.
 """
 
 from __future__ import annotations
@@ -94,11 +102,9 @@ class CountResult:
 
 
 def eval_classical_batch(f: ClassicalFunction, xs: np.ndarray) -> np.ndarray:
-    """Apply the gate list to every row of a (shots, n) bit matrix."""
-    cols, ones = gf2.ints(xs.T), (1 << len(xs)) - 1
-    for q in _run_classical(cols, f.gates, ones):
-        cols[q] ^= ones
-    return np.ascontiguousarray(gf2.bit_matrix(cols, len(xs)).T)
+    """Apply the gate list to every row of a (shots, n) bit matrix
+    (``_read_batch`` with every qubit measured)."""
+    return _read_batch(f.n, f.gates, range(f.n), range(f.n), xs)
 
 
 def _run_classical(cols, gates, ones: int) -> set[int]:
@@ -106,11 +112,11 @@ def _run_classical(cols, gates, ones: int) -> set[int]:
     qubits whose value is the complement of their int (see the module
     docstring), for the caller to apply to the ints it reads.
 
-    ``cols`` holds one int per qubit (a list, or a dict over the qubits
-    the gates touch), bit j its value in column j (a shot of a batch or
-    an assignment of the count); ``ones`` sets every column.  A Toffoli
-    applies its controls' complement bits first because its AND needs
-    their true values.
+    ``cols`` holds one int per live qubit (``_columns``), bit j its
+    value in column j (a shot of a batch or an assignment of the
+    count); ``ones`` sets every column.  A Toffoli applies its
+    controls' complement bits first because its AND needs their true
+    values.
     """
     flips: set[int] = set()
     for kind, qubits, _ in gates:
@@ -166,6 +172,36 @@ def _cone(gates: tuple[Gate, ...], n: int, measured) -> tuple[Sequence[Gate], se
     return kept, live
 
 
+def _columns(n: int, live: set[int]) -> list[int] | dict[int, int]:
+    """One zero int per live qubit, for ``_run_classical``: a list of n
+    when every qubit is live, since it then holds exactly the live
+    qubits and indexes faster than a dict, and else a dict over the
+    live qubits, so that nothing is held per declared qubit."""
+    return [0] * n if len(live) == n else dict.fromkeys(live, 0)
+
+
+def _read_batch(n: int, gates: Sequence[Gate], measured, qubits: Sequence[int],
+                bits: np.ndarray) -> np.ndarray:
+    """(shots, |measured|) outcome bits of classical ``gates`` on a batch.
+
+    Column i of the (shots, k) bit matrix ``bits`` is the input of qubit
+    ``qubits[i]``; every other qubit's input is 0.  Only the measured
+    qubits' cone (``_cone``) runs, and only its qubits' columns are
+    packed, one int each with shot j at bit j.  The measured qubits'
+    ints are read with their complement bits applied.
+    """
+    gates, live = _cone(gates, n, measured)
+    cols = _columns(n, live)
+    picked = [i for i, q in enumerate(qubits) if q in live]
+    for i, x in zip(picked, gf2.ints(bits.T[picked])):
+        cols[qubits[i]] = x
+    shots = len(bits)
+    ones = (1 << shots) - 1
+    flips = _run_classical(cols, gates, ones)
+    out = [cols[q] ^ ones if q in flips else cols[q] for q in measured]
+    return np.ascontiguousarray(gf2.bit_matrix(out, shots).T)
+
+
 # ---------------------------------------------------------------------------
 # Circuit splitting
 
@@ -206,31 +242,18 @@ def ht_sample_batch(c: Circuit, shots: int,
     """(shots, |measured|) outcome bits of an HT circuit.
 
     The Hadamard bits are drawn uniformly, one (shots, m) uint8 draw,
-    into a (shots, n) input matrix whose other bits are 0.  Only the
-    measured qubits' cone (``_cone``) runs, on the matrix columns of its
-    qubits.  The matrix is allocated zeroed and only the draw's columns
-    are written, so the pages nothing writes cost no memory: time and
-    resident memory follow the draw and the cone, not the declared
-    width, while a matrix past what the machine can map still ends in
-    numpy's ``MemoryError``, as it did when every column was packed.
+    and every other qubit's input is 0.  Only the measured qubits' cone
+    runs (``_read_batch``), on the draw's columns inside it, so time and
+    memory follow the draw and the cone, not the declared width.
 
     Raises:
-        CapacityError: if the width, or shots times the width, is past
-        the index range.
+        CapacityError: if the width, or shots times max(m, |measured|),
+        is past the index range (checked before anything is drawn).
     """
     positions, f = _split_ht(c)
-    _check_batch(shots, c.n_qubits)
-    xs = np.zeros((shots, c.n_qubits), dtype=np.uint8)
-    if positions:
-        xs[:, positions] = rng.integers(0, 2, size=(shots, len(positions)),
-                                        dtype=np.uint8)
-    gates, live = _cone(f.gates, c.n_qubits, c.measured)
-    qubits = list(live)
-    cols = dict(zip(qubits, gf2.ints(xs[:, qubits].T)))
-    ones = (1 << shots) - 1
-    flips = _run_classical(cols, gates, ones)
-    out = [cols[q] ^ ones if q in flips else cols[q] for q in c.measured]
-    return np.ascontiguousarray(gf2.bit_matrix(out, shots).T)
+    _check_batch(shots, max(len(positions), len(c.measured)))
+    draw = rng.integers(0, 2, size=(shots, len(positions)), dtype=np.uint8)
+    return _read_batch(c.n_qubits, f.gates, c.measured, positions, draw)
 
 
 def ht_strong_count(c: Circuit, subset, alpha,
@@ -242,8 +265,10 @@ def ht_strong_count(c: Circuit, subset, alpha,
     count.  Only the subset's cone (``_cone``) runs: it reads m' <= m
     Hadamard qubits, and each assignment of those extends to 2^(m-m')
     of all m, so the count over the m' is shifted left by m - m'.  Each
-    cone qubit is one int, assignment i at bit i: the samplers' bit
-    rows with assignments for shots, run through the same rules.
+    cone qubit is one int, assignment i at bit i, in the samplers'
+    container (``_columns``): their bit rows with assignments for
+    shots, run through the same rules.  Nothing is held per declared
+    qubit unless every qubit is in the cone.
 
     Raises:
         ValueError: if ``width_limit`` is negative, or the query fails
@@ -270,9 +295,7 @@ def ht_strong_count(c: Circuit, subset, alpha,
     gates, live = _cone(f.gates, c.n_qubits, subset)
     inside = [q for q in positions if q in live]
     full = (1 << (1 << len(inside))) - 1
-    # One entry per qubit, as before the cone: at a width no list can
-    # hold, this is what refuses the query (MemoryError, exit 2).
-    values = [0] * c.n_qubits
+    values = _columns(c.n_qubits, live)
     for q, col in zip(inside, gf2.counting_columns(len(inside))):
         values[q] = col
     flips = _run_classical(values, gates, full)
@@ -293,7 +316,8 @@ def product_front_batch(c: Circuit, shots: int,
     Input bits are independent with P(1) = |b|^2 per qubit, drawn by
     thresholding one 53-bit uniform variate per qubit per shot.
     Diagonal gates only dress basis states with phases, so they are
-    ignored; the classical gates act on the drawn bits.
+    ignored; the measured qubits' cone of the classical gates runs on
+    the drawn bits of its qubits (``_read_batch``).
 
     Raises:
         CapacityError: if the width, or shots times the width's draws,
@@ -306,8 +330,9 @@ def product_front_batch(c: Circuit, shots: int,
     _check_width(c.n_qubits)
     _check_batch(shots, c.n_qubits, itemsize=8)  # one float64 draw per qubit per shot
     p_one = _p_one(c)
-    xs = (rng.random((shots, len(p_one))) < p_one).astype(np.uint8)
-    return eval_classical_batch(classical_part(c), xs)[:, list(c.measured)]
+    xs = rng.random((shots, len(p_one))) < p_one
+    return _read_batch(c.n_qubits, classical_part(c).gates, c.measured,
+                       range(c.n_qubits), xs)
 
 
 def _p_one(c: Circuit) -> np.ndarray:

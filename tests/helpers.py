@@ -452,9 +452,10 @@ def reference_enumerate_support(s, subset, cap: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Full-pass HT references: every classical gate on every qubit, one input
-# at a time, with X a flip of its bit.  The references for the cone and
-# the complement bits of ``nearclifford``'s count and sampler.
+# Full-pass references for HT and product-front circuits: every classical
+# gate on every qubit, one input at a time, with X a flip of its bit.  The
+# references for the cone and the complement bits of ``nearclifford``'s
+# count and samplers.
 
 
 def _reference_ht_split(c: Circuit) -> tuple[list[int], list[Gate]]:
@@ -502,5 +503,21 @@ def reference_ht_sample(c: Circuit, shots: int, rng: np.random.Generator) -> np.
     rows = np.zeros((shots, len(c.measured)), dtype=np.uint8)
     for s in range(shots):
         x = _reference_classical(sum(int(b) << q for b, q in zip(draw[s], positions)), gates)
+        rows[s] = [x >> q & 1 for q in c.measured]
+    return rows
+
+
+def reference_product_front_sample(c: Circuit, shots: int,
+                                   rng: np.random.Generator) -> np.ndarray:
+    """(shots, |measured|) uint8 rows from the sampler's (shots, n) float64
+    draw, thresholded at each qubit's |b|^2, with every classical gate run
+    per shot and the diagonal gates skipped."""
+    from affstab.statevector import normalized_prep
+    p_one = np.array([abs(b) ** 2 for _, b in normalized_prep(c)])
+    draw = rng.random((shots, c.n_qubits)) < p_one
+    gates = [g for g in c.gates if g.kind in CLASSICAL + (GateKind.SWAP,)]
+    rows = np.zeros((shots, len(c.measured)), dtype=np.uint8)
+    for s in range(shots):
+        x = _reference_classical(sum(int(b) << q for q, b in enumerate(draw[s])), gates)
         rows[s] = [x >> q & 1 for q in c.measured]
     return rows

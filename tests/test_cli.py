@@ -306,8 +306,9 @@ def test_width_past_the_index_range_is_capacity(tmp_path):
 
 
 def test_near_clifford_width_past_the_index_range_names_the_width(tmp_path):
-    # The HT sampler's (shots, n) array, the HT count's per-qubit list
-    # and the product-front input law would each need n entries.
+    # The product-front input law needs n entries.  The HT routes hold
+    # only the cone's qubits, but keep the same width bound, so both
+    # families refuse a width no index can reach with one message.
     ht = circuit_file(tmp_path, "ht.cq", f"qubits {10 ** 30}\nh 0\nh 1\ntoffoli 0 1 2\nmeasure 2\n")
     pf = circuit_file(tmp_path, "pf.cq", f"qubits {10 ** 30}\nzrot 0 1 4\ntoffoli 0 1 2\nmeasure 2\n")
     want = (f"capacity exceeded: near-Clifford simulation cannot index {10 ** 30} "
@@ -381,25 +382,27 @@ def test_swap_line_answers_like_its_three_cnots(tmp_path):
 
 
 def test_ht_sample_past_the_index_range_is_capacity(tmp_path):
-    # 10^18 qubits fit the index range; ten shots of them do not, and
-    # one shot is far past the address space.
+    # 10^18 qubits fit the index range, and the HT routes hold nothing
+    # per declared qubit, so they print what the 3-qubit twin prints.
+    # A batch is shots times max(m, |S|) bits: past the index range it
+    # still exits 2 before anything is drawn.
     ht = circuit_file(tmp_path, "ht.cq", f"qubits {10 ** 18}\nh 0\nh 1\ntoffoli 0 1 2\nmeasure 2\n")
-    for shots in (10, 1):
-        status, out, err = run(["sample", ht, "--shots", str(shots)])
-        assert (status, out) == (2, ""), err
-        assert err.startswith("capacity exceeded: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-    assert run(["sample", ht, "--shots", "10"])[2] == (
-        f"capacity exceeded: 10 shots of {10 ** 18} qubits need {10 ** 19} bits; "
-        f"the limit is {sys.maxsize}\n")
+    narrow = circuit_file(tmp_path, "narrow.cq", HT)
+    for tail in (["sample"], ["sample", "--shots", "10"], ["prob", "--outcome", "1"]):
+        got = run([tail[0], ht, *tail[1:]])
+        assert got[0] == 0 and got == run([tail[0], narrow, *tail[1:]]), (tail, got)
+    assert run(["sample", ht, "--shots", str(2 ** 62)]) == (
+        2, "", f"capacity exceeded: {2 ** 62} shots of 2 qubits need {2 ** 63} bits; "
+               f"the limit is {sys.maxsize}\n")
 
 
 @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
 def test_ht_sample_memory_follows_the_cone_not_the_width(tmp_path, n):
     # A Toffoli of two Hadamard qubits onto the last of n qubits.  Only
-    # the cone's three columns are evaluated, so the run fits in 64 MB of
-    # address space above what the child holds after its imports; packing
-    # all n columns as ints needed far more at both widths.  The limit
+    # the cone's three qubits are held, by the sampler and by the count,
+    # so both runs fit in 64 MB of address space above what the child
+    # holds after its imports; packing all n columns as ints, or a list
+    # of n ints for the count (80 MB at 10^7), needed more.  The limit
     # is set in the child only.
     pytest.importorskip("resource")
     if not os.path.exists("/proc/self/statm"):
@@ -415,13 +418,16 @@ def test_ht_sample_memory_follows_the_cone_not_the_width(tmp_path, n):
             "soft = vm + (64 << 20)\n"
             "resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY"
             " else min(soft, hard), hard))\n"
-            f"sys.exit(run_command(['sample', {wide!r}, '--shots', '2', '--seed', '5']))\n")
+            f"sys.exit(run_command(['sample', {wide!r}, '--shots', '2', '--seed', '5'])\n"
+            f"         or run_command(['prob', {wide!r}, '--outcome', '1']))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    # The same draws (Hadamards on 0 and 1) give the same rows at n = 3.
-    assert done.stdout == run(["sample", narrow, "--shots", "2", "--seed", "5"])[1]
+    # The same draws (Hadamards on 0 and 1) give the same rows at n = 3,
+    # and the same count.
+    assert done.stdout == (run(["sample", narrow, "--shots", "2", "--seed", "5"])[1]
+                           + run(["prob", narrow, "--outcome", "1"])[1])
 
 
 def test_sample_batch_past_the_index_range_is_capacity(tmp_path):

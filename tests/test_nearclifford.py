@@ -16,9 +16,10 @@ from affstab.nearclifford import (ClassicalFunction, _cone, _split_ht, classical
                                   eval_classical_batch, ht_sample_batch,
                                   ht_strong_count, product_front_batch)
 from affstab.statevector import distribution, run_statevector, total_variation
-from helpers import (BAD_QUERIES, BELL_X, CLASSICAL, random_gate,
-                     random_ht_circuit, random_product_front_circuit,
-                     reference_ht_count, reference_ht_sample)
+from helpers import (BAD_QUERIES, BELL_X, CLASSICAL, DIAGONAL, random_gate,
+                     random_ht_circuit, random_prep, random_product_front_circuit,
+                     reference_ht_count, reference_ht_sample,
+                     reference_product_front_sample)
 
 
 def test_eval_classical_examples():
@@ -443,6 +444,45 @@ def test_cone_and_complement_bits_match_the_full_pass(query, seed):
     assert res.as_fraction() == reference_ht_count(c, c.measured, alpha)
     got = ht_sample_batch(c, 40, np.random.default_rng(seed))
     want = reference_ht_sample(c, 40, np.random.default_rng(seed))
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def product_fronts(draw):
+    """A product-front circuit (a random prep, every classical and
+    diagonal kind) measuring a subset of any size."""
+    n = draw(st.integers(1, 7))
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from([k for k in HT_KINDS + DIAGONAL if ARITY[k] <= n]))
+        qubits = draw(st.permutations(range(n)))[:ARITY[kind]]
+        angle = (draw(st.integers(-8, 8)), draw(st.integers(1, 8))) if kind in (
+            GateKind.ZROT, GateKind.CZROT) else None
+        gates.append(gate(kind, *qubits, angle=angle))
+    prep = random_prep(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n)
+    measured = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    return Circuit(n, tuple(gates), prep, tuple(measured))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_fronts(), st.integers(0, 2 ** 32 - 1))
+# Qubit 2's input is outside the cone of 1; the CZ and the rotation on
+# cone qubits are dropped.
+@example(parse("qubits 3\nprep 0 0.6 0 0.8 0\nprep 2 0.6 0 0 0.8\ncz 0 1\ncnot 0 1\n"
+               "zrot 1 1 4\nmeasure 1"), 0)
+# SWAPs that write the measured qubit as their first and second qubit.
+@example(parse("qubits 3\nprep 0 0.6 0 0.8 0\nx 0\ncnot 0 1\nswap 2 1\nmeasure 2"), 1)
+@example(parse("qubits 3\nprep 0 0.6 0 0.8 0\nx 0\ncnot 0 1\nswap 1 2\nmeasure 2"), 1)
+# Every qubit measured: no walk; X on a Toffoli control.
+@example(parse("qubits 3\nprep 0 0.6 0 0.8 0\nprep 1 0.8 0 0 0.6\nx 0\nswap 0 2\n"
+               "toffoli 2 1 0\np 2\nx 1\ncnot 1 2\nmeasure 0 1 2"), 2)
+def test_product_front_cone_matches_the_full_pass(c, seed):
+    # product_front_batch keeps the full (shots, n) draw but packs and
+    # runs only the measured qubits' cone; the reference runs every
+    # classical gate on every qubit, shot by shot, from the same draw.
+    got = product_front_batch(c, 40, np.random.default_rng(seed))
+    want = reference_product_front_sample(c, 40, np.random.default_rng(seed))
     assert got.dtype == np.uint8 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
