@@ -14,9 +14,8 @@ import numpy as np
 
 from affstab import Circuit, GateKind, gate, parse
 from affstab.errors import CapacityError
-from affstab.nearclifford import (ClassicalFunction, eval_classical_batch,
-                                  ht_sample_batch, ht_strong_count,
-                                  product_front_batch)
+from affstab.nearclifford import (eval_classical_batch, ht_sample_batch,
+                                  ht_strong_count, product_front_batch)
 from affstab.affine import run_clifford
 from affstab.measure import weak_sample_many
 from affstab.statevector import distribution, run_statevector
@@ -60,9 +59,9 @@ print()
 print("Any weakly samplable front can drive a classical suffix;")
 print("here a stabilizer state feeds a Toffoli:")
 prefix = run_clifford(parse("qubits 3\nh 0\ncnot 0 1"))
-suffix = ClassicalFunction(3, (gate(GateKind.TOFFOLI, 0, 1, 2),))
+suffix = Circuit(3, (gate(GateKind.TOFFOLI, 0, 1, 2),), None, (2,))
 rows = eval_classical_batch(
-    suffix, weak_sample_many(prefix, range(3), 100_000, np.random.default_rng(3)))[:, [2]]
+    suffix, weak_sample_many(prefix, range(3), 100_000, np.random.default_rng(3)))
 full = parse("qubits 3\nh 0\ncnot 0 1\ntoffoli 0 1 2\nmeasure 2")
 oracle = distribution(run_statevector(full), [2])
 print(f"    chained sampler P(1) = {rows.mean():.4f}   "

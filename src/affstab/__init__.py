@@ -18,7 +18,7 @@ from .circuit import (Circuit, CircuitClass, Gate, GateKind, classify, emit,
 from .errors import CapacityError, ClassificationError, ParseError
 from .measure import (DyadicProb, Outcome, enumerate_support, strong_prob,
                       weak_sample_many)
-from .nearclifford import ClassicalFunction, CountResult, ht_strong_count
+from .nearclifford import CountResult, ht_strong_count
 from .normalform import (NormalFormState, OperatorNormalForm, conjugate_pauli,
                          conjugated_generators, decompose_operator,
                          synthesize_state_prep)
@@ -34,7 +34,7 @@ __all__ = [
     "CapacityError", "ClassificationError", "ParseError",
     "DyadicProb", "Outcome", "enumerate_support", "strong_prob",
     "weak_sample_many",
-    "ClassicalFunction", "CountResult", "ht_strong_count",
+    "CountResult", "ht_strong_count",
     "NormalFormState", "OperatorNormalForm", "conjugate_pauli",
     "conjugated_generators", "decompose_operator", "synthesize_state_prep",
     "distribution", "equal_up_to_phase", "proportional_as_operators",

@@ -49,6 +49,7 @@ angle's num and den.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -234,6 +235,14 @@ def _bad_norm2(a: complex, b: complex) -> float | None:
     """|a|^2 + |b|^2 of a prep pair off 1 by more than ``PREP_NORM_TOL``, else None."""
     norm2 = abs(a) * abs(a) + abs(b) * abs(b)  # inf, not OverflowError
     return None if abs(norm2 - 1.0) <= PREP_NORM_TOL else norm2  # nan fails <=
+
+
+def normalized_prep(c: Circuit) -> list[tuple[complex, complex]]:
+    """Per-qubit amplitude pairs, each renormalized exactly once."""
+    if c.prep is None:
+        return [(1.0 + 0j, 0j)] * c.n_qubits
+    norms = [math.sqrt(abs(a) ** 2 + abs(b) ** 2) for a, b in c.prep]
+    return [(a / norm, b / norm) for (a, b), norm in zip(c.prep, norms)]
 
 
 def _circuit(n_qubits: int, gates: tuple[Gate, ...], prep,

@@ -21,12 +21,13 @@ and shifts its numerator left by m - m', since each of their
 assignments extends to 2^(m-m') of all m; ``CountResult.m``, the width
 cap and the check order stay on the full m.
 
-A batch through a classical suffix is evaluated in one place
-(``_read_batch``): the HT and product-front samplers,
-``eval_classical_batch`` and the CLI's product-front check call it.
-It and the count share one copy of the X/CNOT/TOFFOLI/SWAP rules
-(``_run_classical``), over one int per live qubit (``_columns``: a
-list of n when every qubit is live, else a dict over the live qubits).
+A classical function is a ``Circuit`` with no prep and only
+X/CNOT/TOFFOLI/SWAP gates (a product front's is ``classical_part``).
+One reader (``_read_batch``) runs a batch through one, for
+``ht_sample_batch`` on its Hadamard draw and ``eval_classical_batch``
+on a (shots, n) input matrix; it and the count share one copy of the
+rules (``_run_classical``), over one int per live qubit (``_columns``:
+a list of n when every qubit is live, else a dict over the live qubits).
 An X is a per-qubit complement bit rather than a pass over the int: a
 CNOT XORs the control's bit into the target's, a SWAP swaps them, a
 Toffoli applies and clears a set bit on each control first, and the
@@ -53,38 +54,13 @@ import numpy as np
 
 from . import gf2, measure
 from .circuit import (CLASSICAL_KINDS, Circuit, Gate, _CLASSICAL_OR_DIAGONAL, _CNOT, _TOFFOLI,
-                      _SWAP, _X, _check_batch, _check_width, _first_outside, _h_prefix)
+                      _SWAP, _X, _check_batch, _check_width, _circuit, _first_outside, _h_prefix,
+                      normalized_prep)
 from .errors import CapacityError, ClassificationError
-from .statevector import normalized_prep
 
 # The widest Hadamard layer ht_strong_count enumerates: the default and
 # the hard maximum of ``width_limit`` (each qubit's mask has 2^m bits).
 DEFAULT_WIDTH_LIMIT = 24
-
-
-@dataclass(frozen=True)
-class ClassicalFunction:
-    """An invertible function {0,1}^n -> {0,1}^n as X/CNOT/TOFFOLI/SWAP gates."""
-
-    n: int
-    gates: tuple[Gate, ...]
-
-    def __post_init__(self):
-        for g in self.gates:
-            if g.kind not in CLASSICAL_KINDS:
-                raise ValueError(f"not a classical gate: {g.kind.value}")
-            for q in g.qubits:
-                if not 0 <= q < self.n:
-                    raise ValueError(f"qubit {q} out of range")
-
-
-def _classical_function(n: int, gates: tuple[Gate, ...]) -> ClassicalFunction:
-    """A ClassicalFunction built unchecked: the caller has proven what
-    ``ClassicalFunction`` checks (classical gates, in range)."""
-    f = object.__new__(ClassicalFunction)
-    object.__setattr__(f, "n", n)
-    object.__setattr__(f, "gates", gates)
-    return f
 
 
 @dataclass(frozen=True)
@@ -101,10 +77,29 @@ class CountResult:
         return self.numerator / 2 ** self.m
 
 
-def eval_classical_batch(f: ClassicalFunction, xs: np.ndarray) -> np.ndarray:
-    """Apply the gate list to every row of a (shots, n) bit matrix
-    (``_read_batch`` with every qubit measured)."""
-    return _read_batch(f.n, f.gates, range(f.n), range(f.n), xs)
+def eval_classical_batch(c: Circuit, xs: np.ndarray) -> np.ndarray:
+    """(shots, |c.measured|) images of the rows of a (shots, n) bool or
+    0/1 integer matrix under a classical function ``c`` (no prep, only
+    X/CNOT/TOFFOLI/SWAP gates), through the measured qubits' cone
+    (``_read_batch``).  A bool matrix's values are not scanned.
+
+    Raises:
+        ClassificationError: if ``c`` has a prep or a non-classical gate.
+        ValueError: if ``xs`` is not such a matrix.
+    """
+    if c.prep is not None:
+        raise ClassificationError("a classical function takes no prep")
+    bad = _first_outside(c.gates, CLASSICAL_KINDS)
+    if bad is not None:
+        raise ClassificationError(f"not a classical gate: {bad.kind.value}")
+    n = c.n_qubits
+    xs = np.asarray(xs)
+    want = f"a (shots, {n}) matrix of 0/1 bits"
+    if xs.ndim != 2 or xs.shape[1] != n or xs.dtype.kind not in "biu":
+        raise ValueError(f"expected {want}, got {xs.dtype} of shape {xs.shape}")
+    if xs.dtype.kind != "b" and xs.size and (xs.min() < 0 or xs.max() > 1):
+        raise ValueError(f"expected {want}, got a value outside 0/1")
+    return _read_batch(n, c.gates, c.measured, range(n), xs)
 
 
 def _run_classical(cols, gates, ones: int) -> set[int]:
@@ -206,7 +201,7 @@ def _read_batch(n: int, gates: Sequence[Gate], measured, qubits: Sequence[int],
 # Circuit splitting
 
 
-def _split_ht(c: Circuit) -> tuple[list[int], ClassicalFunction]:
+def _split_ht(c: Circuit) -> tuple[list[int], tuple[Gate, ...]]:
     """Hadamard positions (odd-count prefix qubits) and the classical suffix.
 
     Checked structurally, so Clifford circuits that happen to be a
@@ -224,13 +219,15 @@ def _split_ht(c: Circuit) -> tuple[list[int], ClassicalFunction]:
     odd: set[int] = set()
     for g in c.gates[:i]:
         odd.symmetric_difference_update(g.qubits)
-    return sorted(odd), _classical_function(c.n_qubits, suffix)
+    return sorted(odd), suffix
 
 
-def classical_part(c: Circuit) -> ClassicalFunction:
-    """The classical (X/CNOT/TOFFOLI/SWAP) gates of a circuit, as a function."""
-    return _classical_function(
-        c.n_qubits, tuple(g for g in c.gates if g.kind in CLASSICAL_KINDS))
+def classical_part(c: Circuit) -> Circuit:
+    """The circuit of c's X/CNOT/TOFFOLI/SWAP gates, in order, with no
+    prep and c's measured qubits: the classical function a product
+    front feeds (``eval_classical_batch``)."""
+    return _circuit(c.n_qubits, tuple(g for g in c.gates if g.kind in CLASSICAL_KINDS),
+                    None, c.measured)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +247,10 @@ def ht_sample_batch(c: Circuit, shots: int,
         CapacityError: if the width, or shots times max(m, |measured|),
         is past the index range (checked before anything is drawn).
     """
-    positions, f = _split_ht(c)
+    positions, suffix = _split_ht(c)
     _check_batch(shots, max(len(positions), len(c.measured)))
     draw = rng.integers(0, 2, size=(shots, len(positions)), dtype=np.uint8)
-    return _read_batch(c.n_qubits, f.gates, c.measured, positions, draw)
+    return _read_batch(c.n_qubits, suffix, c.measured, positions, draw)
 
 
 def ht_strong_count(c: Circuit, subset, alpha,
@@ -285,14 +282,14 @@ def ht_strong_count(c: Circuit, subset, alpha,
         raise CapacityError(
             f"width limit {width_limit} is above the maximum "
             f"{DEFAULT_WIDTH_LIMIT}")
-    positions, f = _split_ht(c)
+    positions, suffix = _split_ht(c)
     subset, alpha = measure.check_query(c.n_qubits, subset, alpha)
     m = len(positions)
     if m > width_limit:
         raise CapacityError(
             f"strong HT simulation needs 2^{m} enumerations; "
             f"limit is 2^{width_limit}")
-    gates, live = _cone(f.gates, c.n_qubits, subset)
+    gates, live = _cone(suffix, c.n_qubits, subset)
     inside = [q for q in positions if q in live]
     full = (1 << (1 << len(inside))) - 1
     values = _columns(c.n_qubits, live)
@@ -316,8 +313,9 @@ def product_front_batch(c: Circuit, shots: int,
     Input bits are independent with P(1) = |b|^2 per qubit, drawn by
     thresholding one 53-bit uniform variate per qubit per shot.
     Diagonal gates only dress basis states with phases, so they are
-    ignored; the measured qubits' cone of the classical gates runs on
-    the drawn bits of its qubits (``_read_batch``).
+    ignored; the classical gates run on the draw
+    (``eval_classical_batch`` of ``classical_part``), only the measured
+    qubits' cone on its qubits' bits.
 
     Raises:
         CapacityError: if the width, or shots times the width's draws,
@@ -331,8 +329,7 @@ def product_front_batch(c: Circuit, shots: int,
     _check_batch(shots, c.n_qubits, itemsize=8)  # one float64 draw per qubit per shot
     p_one = _p_one(c)
     xs = rng.random((shots, len(p_one))) < p_one
-    return _read_batch(c.n_qubits, classical_part(c).gates, c.measured,
-                       range(c.n_qubits), xs)
+    return eval_classical_batch(classical_part(c), xs)
 
 
 def _p_one(c: Circuit) -> np.ndarray:

@@ -12,22 +12,11 @@ import math
 import numpy as np
 
 from .circuit import (Circuit, Gate, _CNOT, _CZ, _CZROT, _H, _P, _PDG, _SWAP, _TOFFOLI, _X, _Z,
-                      _ZROT)
+                      _ZROT, normalized_prep)
 from .errors import CapacityError, InvariantError
 
 MAX_QUBITS = 14
 MAX_OPERATOR_QUBITS = 10
-
-
-def normalized_prep(c: Circuit) -> list[tuple[complex, complex]]:
-    """Per-qubit amplitude pairs, each renormalized exactly once."""
-    if c.prep is None:
-        return [(1.0 + 0j, 0j)] * c.n_qubits
-    out = []
-    for a, b in c.prep:
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        out.append((a / norm, b / norm))
-    return out
 
 
 def _slices(ndim: int, axes: tuple[int, ...], values: tuple[int, ...]):

@@ -270,6 +270,40 @@ def stack_check(c: Circuit, s) -> str | None:
     return None
 
 
+def z_constraints(c: Circuit, subset) -> list[tuple[int, int]]:
+    """A basis of the stabilizer group's Z-only elements supported in
+    ``subset``, each as (mask, parity): bit k of mask is position k of
+    the subset (qubit ``subset[k]``), and every outcome alpha of C|0...0>
+    on the subset has parity(alpha & mask) == parity, the element's sign.
+
+    Eliminates ``stabilizer_rows`` on their x bits and their z bits
+    outside the subset, multiplying the signed Paulis (e, x, z) exactly:
+    i^e1 X(x1) Z(z1) * i^e2 X(x2) Z(z2) = i^(e1 + e2 + 2|z1 & x2|)
+    X(x1 ^ x2) Z(z1 ^ z2).  A row that eliminates to 0 is such an
+    element; the rows are independent, so these are too, and the
+    outcomes are 2^(|S| - len) equally likely patterns.
+    """
+    n, inside = c.n_qubits, sum(1 << q for q in subset)
+    pivots: dict[int, tuple[int, int, int]] = {}
+    out = []
+    for e, x, z in stabilizer_rows(c):
+        while True:
+            key = x | (z & ~inside) << n
+            if not key:
+                break
+            pivot = pivots.get(key.bit_length())
+            if pivot is None:
+                pivots[key.bit_length()] = e, x, z
+                break
+            e2, x2, z2 = pivot
+            e, x, z = (e + e2 + 2 * (z & x2).bit_count()) % 4, x ^ x2, z ^ z2
+        if not key:
+            if e & 1:
+                raise ValueError("a Hermitian stabilizer has an even i-exponent")
+            out.append((sum(1 << k for k, q in enumerate(subset) if z >> q & 1), e >> 1))
+    return out
+
+
 def reference_row_echelon(m) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form by column-by-column Gauss-Jordan."""
     r = np.asarray(m, dtype=np.uint8) % 2
@@ -512,7 +546,7 @@ def reference_product_front_sample(c: Circuit, shots: int,
     """(shots, |measured|) uint8 rows from the sampler's (shots, n) float64
     draw, thresholded at each qubit's |b|^2, with every classical gate run
     per shot and the diagonal gates skipped."""
-    from affstab.statevector import normalized_prep
+    from affstab.circuit import normalized_prep
     p_one = np.array([abs(b) ** 2 for _, b in normalized_prep(c)])
     draw = rng.random((shots, c.n_qubits)) < p_one
     gates = [g for g in c.gates if g.kind in CLASSICAL + (GateKind.SWAP,)]

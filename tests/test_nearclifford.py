@@ -12,9 +12,8 @@ from affstab import (CapacityError, Circuit, GateKind, gate, parse,
                      run_clifford, strong_prob, weak_sample_many)
 from affstab.errors import ClassificationError
 from affstab.circuit import ARITY, CLASSICAL_KINDS
-from affstab.nearclifford import (ClassicalFunction, _cone, _split_ht, classical_part,
-                                  eval_classical_batch, ht_sample_batch,
-                                  ht_strong_count, product_front_batch)
+from affstab.nearclifford import (_cone, _split_ht, classical_part, eval_classical_batch,
+                                  ht_sample_batch, ht_strong_count, product_front_batch)
 from affstab.statevector import distribution, run_statevector, total_variation
 from helpers import (BAD_QUERIES, BELL_X, CLASSICAL, DIAGONAL, random_gate,
                      random_ht_circuit, random_prep, random_product_front_circuit,
@@ -22,14 +21,43 @@ from helpers import (BAD_QUERIES, BELL_X, CLASSICAL, DIAGONAL, random_gate,
                      reference_product_front_sample)
 
 
+def classical_function(n: int, gates) -> Circuit:
+    """A classical function of n bits as a circuit measuring every qubit."""
+    return Circuit(n, tuple(gates), None, tuple(range(n)))
+
+
 def test_eval_classical_examples():
-    f = ClassicalFunction(3, ())
+    f = classical_function(3, ())
     xs = np.array([[1, 0, 1]], dtype=np.uint8)
     assert eval_classical_batch(f, xs).tolist() == [[1, 0, 1]]
-    f = ClassicalFunction(3, (gate(GateKind.TOFFOLI, 0, 1, 2),))
+    f = classical_function(3, (gate(GateKind.TOFFOLI, 0, 1, 2),))
     xs = np.array([[1, 1, 0], [1, 0, 0]], dtype=np.uint8)
     assert eval_classical_batch(f, xs).tolist() == [[1, 1, 1], [1, 0, 0]]
     assert xs.tolist() == [[1, 1, 0], [1, 0, 0]]  # the input is not touched
+    # Bool and every integer dtype read alike; the rows are c.measured's.
+    for dtype in (bool, np.int8, np.int64, np.uint16):
+        assert eval_classical_batch(f, xs.astype(dtype)).tolist() == [[1, 1, 1], [1, 0, 0]]
+    g = Circuit(3, f.gates, None, (2, 0))
+    assert eval_classical_batch(g, xs.tolist()).tolist() == [[1, 1], [0, 1]]
+    assert eval_classical_batch(g, np.zeros((0, 3), dtype=bool)).shape == (0, 2)
+
+
+@pytest.mark.parametrize("xs", [
+    np.ones((2, 4), dtype=np.uint8),                 # one column too many
+    np.array([[2, 0, 0]]),                           # not a bit
+    np.array([[0, -1, 0]], dtype=np.int8),           # not a bit
+    np.ones((2, 2), dtype=np.uint8),                 # one column too few
+    np.array([1, 0, 1], dtype=np.uint8),             # one row, not a matrix
+    np.ones((1, 1, 3), dtype=np.uint8),              # three axes
+    np.array([[1.0, 0.0, 1.0]]),                     # floats
+    np.array([[1, 0, 1]], dtype=object),             # objects
+], ids=["wide", "two", "negative", "narrow", "1-D", "3-D", "float", "object"])
+def test_eval_classical_batch_refuses_malformed_input(xs):
+    # Each is refused by name, not read as something else or left to
+    # numpy's IndexError, AxisError or TypeError.
+    f = Circuit(3, (gate(GateKind.CNOT, 0, 1),), None, (0, 1, 2))
+    with pytest.raises(ValueError, match=r"^expected a \(shots, 3\) matrix of 0/1 bits, got "):
+        eval_classical_batch(f, xs)
 
 
 def test_eval_classical_invertibility():
@@ -43,17 +71,16 @@ def test_eval_classical_invertibility():
             arity = {GateKind.X: 1, GateKind.CNOT: 2, GateKind.TOFFOLI: 3}[kind]
             gates.append(gate(kind, *(int(q) for q in
                                       rng.choice(n, arity, replace=False))))
-        f = ClassicalFunction(n, tuple(gates))
-        inverse = ClassicalFunction(n, tuple(reversed(gates)))
+        f = classical_function(n, gates)
+        inverse = classical_function(n, reversed(gates))
         xs = rng.integers(0, 2, (4, n), dtype=np.uint8)
         back = eval_classical_batch(inverse, eval_classical_batch(f, xs))
         assert np.array_equal(back, xs)
 
 
 def test_swap_is_a_classical_rule():
-    # A hand-built SWAP (parse expands it) must act as its three CNOTs
-    # on every classical route.
-    assert ClassicalFunction(2, (gate(GateKind.SWAP, 0, 1),)).gates[0].kind is GateKind.SWAP
+    # A SWAP must act as its three CNOTs on every classical route.
+    assert classical_part(Circuit(2, (gate(GateKind.SWAP, 0, 1),))).gates[0].kind is GateKind.SWAP
     swap = (gate(GateKind.SWAP, 1, 2),)
     cnots = (gate(GateKind.CNOT, 1, 2), gate(GateKind.CNOT, 2, 1), gate(GateKind.CNOT, 1, 2))
     head = (gate(GateKind.H, 0), gate(GateKind.H, 3), gate(GateKind.CNOT, 0, 1))
@@ -72,30 +99,37 @@ def test_swap_is_a_classical_rule():
 
 
 def test_classical_function_rejects_non_classical():
-    with pytest.raises(ValueError):
-        ClassicalFunction(2, (gate(GateKind.H, 0),))
-    with pytest.raises(ValueError, match="^qubit 2 out of range$"):
-        ClassicalFunction(2, (gate(GateKind.CNOT, 0, 2),))
+    # A classical function is a Circuit, checked where it is used: Circuit
+    # checks the range, eval_classical_batch the gate kinds and the prep.
+    xs = np.zeros((1, 2), dtype=bool)
+    with pytest.raises(ClassificationError, match="^not a classical gate: h$"):
+        eval_classical_batch(Circuit(2, (gate(GateKind.H, 0),)), xs)
+    with pytest.raises(ClassificationError, match="^not a classical gate: cz$"):
+        eval_classical_batch(Circuit(2, (gate(GateKind.CZ, 0, 1),)), xs)
+    with pytest.raises(ClassificationError, match="^a classical function takes no prep$"):
+        eval_classical_batch(parse("qubits 2\nprep 0 0.6 0.0 0.8 0.0\ncnot 0 1"), xs)
+    with pytest.raises(ValueError, match="^qubit index 2 out of range$"):
+        Circuit(2, (gate(GateKind.CNOT, 0, 2),))
 
 
 def test_derived_classical_functions_equal_checked_ones():
     # _split_ht and classical_part build theirs unchecked, from gates the
-    # circuit has checked; the public constructor still checks.
+    # circuit has checked: they equal what the checked constructor builds.
     rng = np.random.default_rng(18)
     for _ in range(20):
         n = int(rng.integers(3, 8))
         ht = random_ht_circuit(rng, n, 3, 12)
-        f = _split_ht(ht)[1]
-        assert f == ClassicalFunction(n, f.gates)
+        positions, suffix = _split_ht(ht)
+        assert type(suffix) is tuple
+        assert ht.gates[len(ht.gates) - len(suffix):] == suffix
+        assert Circuit(n, suffix).gates == suffix
         front = random_product_front_circuit(rng, n, 15)
         f = classical_part(front)
-        assert f == ClassicalFunction(
-            n, tuple(g for g in front.gates if g.kind in CLASSICAL_KINDS))
-        if f.gates:
-            with pytest.raises(ValueError, match="out of range"):
-                ClassicalFunction(max(f.gates[0].qubits), f.gates)
-        with pytest.raises(ValueError, match="not a classical gate: h"):
-            ClassicalFunction(n, ht.gates)
+        assert f == Circuit(n, tuple(g for g in front.gates if g.kind in CLASSICAL_KINDS),
+                            None, front.measured)
+        with pytest.raises(ClassificationError, match="^not a classical gate: h$"):
+            eval_classical_batch(Circuit(n, ht.gates, None, ht.measured),
+                                 np.zeros((1, n), dtype=bool))
 
 
 def test_ht_sample_and_of_two_fair_bits():
@@ -325,10 +359,10 @@ def test_ht_circuit_as_product_front():
 
 def test_stabilizer_front_drives_classical_suffix():
     prefix = run_clifford(parse("qubits 3\nh 0\ncnot 0 1"))
-    suffix = ClassicalFunction(3, (gate(GateKind.TOFFOLI, 0, 1, 2),))
+    suffix = Circuit(3, (gate(GateKind.TOFFOLI, 0, 1, 2),), None, (2,))
     rng = np.random.default_rng(15)
-    rows = eval_classical_batch(suffix, weak_sample_many(prefix, range(3), 50_000,
-                                                         rng))[:, [2]]
+    rows = eval_classical_batch(suffix, weak_sample_many(prefix, range(3), 50_000, rng))
+    assert rows.shape == (50_000, 1)
     # qubit 2 = AND of two perfectly correlated fair bits = fair bit
     ones = int(rows.sum())
     sigma = np.sqrt(50_000 * 0.25)
@@ -344,6 +378,7 @@ def test_classical_part_extraction():
               "toffoli 0 1 2\nmeasure 2")
     f = classical_part(c)
     assert [g.kind for g in f.gates] == [GateKind.CNOT, GateKind.TOFFOLI]
+    assert (f.n_qubits, f.prep, f.measured) == (3, None, (2,))
 
 
 def test_eval_classical_batch_matches_oracle():
@@ -352,8 +387,7 @@ def test_eval_classical_batch_matches_oracle():
     rng = np.random.default_rng(16)
     for _ in range(10):
         n = int(rng.integers(3, 7))
-        f = ClassicalFunction(n, tuple(random_gate(rng, n, CLASSICAL)
-                                       for _ in range(25)))
+        f = classical_function(n, (random_gate(rng, n, CLASSICAL) for _ in range(25)))
         xs = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
               ).astype(np.uint8)
         batch = eval_classical_batch(f, xs)
@@ -394,8 +428,8 @@ def test_ht_strong_count_at_default_width_is_fast():
     for measured, alpha, inside, want in (([25], [1], 3, Fraction(1, 8)),
                                           ([25, 23], [1, 1], 24, Fraction(1, 16))):
         c = Circuit(26, tuple(gates), None, tuple(measured))
-        positions, f = _split_ht(c)
-        assert sum(q in _cone(f.gates, 26, measured)[1] for q in positions) == inside
+        positions, suffix = _split_ht(c)
+        assert sum(q in _cone(suffix, 26, measured)[1] for q in positions) == inside
         start = time.perf_counter()
         res = ht_strong_count(c, measured, alpha)
         assert time.perf_counter() - start < 10
